@@ -1,7 +1,7 @@
 PYTHONPATH := src
 export PYTHONPATH
 
-.PHONY: test test-strict test-threads test-serve test-transport lint reprolint mypy bench check
+.PHONY: test test-strict test-threads test-serve lint reprolint mypy bench check
 
 test:
 	python -m pytest -x -q
@@ -24,14 +24,6 @@ test-serve:
 		tests/serve \
 		tests/engine/test_session_threads.py \
 		tests/cli/test_validation.py \
-		-x -q
-	REPRO_BENCH_QUICK=1 python -m pytest benchmarks/bench_serve.py -x -q
-
-test-transport:
-	REPRO_CHECK=strict python -m pytest \
-		tests/serve/test_transport.py \
-		tests/serve/test_transport_chaos.py \
-		tests/serve/test_transport_reconnect.py \
 		-x -q
 	REPRO_BENCH_QUICK=1 python -m pytest benchmarks/bench_transport.py -x -q
 

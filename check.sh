@@ -13,37 +13,14 @@ python -m pytest -x -q
 echo "==> pytest (REPRO_CHECK=strict)"
 REPRO_CHECK=strict python -m pytest -x -q
 
-echo "==> concurrency stress suite (REPRO_CHECK=strict)"
-REPRO_CHECK=strict python -m pytest \
-    tests/analysis/test_concurrency.py \
-    tests/analysis/test_interleave.py \
-    tests/dataplane/test_cache_threads.py \
-    tests/dataplane/test_stream_threads.py \
-    tests/nn/test_arena_threads.py \
+echo "==> bench smokes (quick mode)"
+REPRO_BENCH_QUICK=1 python -m pytest \
+    benchmarks/bench_stream.py \
+    benchmarks/bench_engine_inference.py \
+    benchmarks/bench_compute_core.py \
+    benchmarks/bench_concurrency.py \
+    benchmarks/bench_transport.py \
     -x -q
-
-echo "==> concurrency bench smoke (off-mode overhead < 1%)"
-REPRO_BENCH_QUICK=1 python -m pytest benchmarks/bench_concurrency.py -x -q
-
-echo "==> serving smoke (daemon, session races, REPRO_CHECK=strict)"
-REPRO_CHECK=strict python -m pytest \
-    tests/serve \
-    tests/engine/test_session_threads.py \
-    tests/cli/test_validation.py \
-    -x -q
-
-echo "==> serving bench smoke (quick mode)"
-REPRO_BENCH_QUICK=1 python -m pytest benchmarks/bench_serve.py -x -q
-
-echo "==> transport chaos smoke (faults, breaker, reconnect; strict)"
-REPRO_CHECK=strict python -m pytest \
-    tests/serve/test_transport.py \
-    tests/serve/test_transport_chaos.py \
-    tests/serve/test_transport_reconnect.py \
-    -x -q
-
-echo "==> transport bench smoke (quick mode)"
-REPRO_BENCH_QUICK=1 python -m pytest benchmarks/bench_transport.py -x -q
 
 echo "==> reprolint"
 python -m repro.analysis.lint src tests

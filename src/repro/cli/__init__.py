@@ -3,7 +3,7 @@
 Three entry points mirror how a downstream user consumes the library:
 
 * ``repro-detect``   — run PSHD on a GLP layout file end to end.
-* ``repro-serve``    — batched detection daemon (demo clients, or a
+* ``repro-serve``    — detection daemon (demo clients, or a
   framed socket transport with ``--listen``).
 * ``repro-query``    — remote client of a ``--listen`` daemon.
 * ``repro-benchmark``— build / inspect the ICCAD-style benchmark suites.

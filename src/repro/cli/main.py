@@ -547,7 +547,7 @@ def convert_main(argv=None) -> int:
 def build_serve_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-serve",
-        description="Batched hotspot-detection daemon on a layout: "
+        description="Hotspot-detection daemon on a layout: "
                     "quick-train a model, start the DetectionServer, "
                     "and drive it with concurrent demo clients.",
     )
@@ -577,13 +577,6 @@ def build_serve_parser() -> argparse.ArgumentParser:
     parser.add_argument("--request-clips", type=_positive_int, default=8,
                         metavar="K",
                         help="clips per request (default 8)")
-    parser.add_argument("--batch-clips", type=_positive_int, default=256,
-                        metavar="B",
-                        help="largest coalesced dispatch in clips "
-                             "(default 256)")
-    parser.add_argument("--delay-ms", type=_nonnegative_float, default=2.0,
-                        help="micro-batch coalescing window in "
-                             "milliseconds (default 2)")
     parser.add_argument("--max-pending", type=_positive_int, default=2048,
                         help="admission bound on queued clips "
                              "(default 2048)")
@@ -660,8 +653,6 @@ def serve_main(argv=None) -> int:
             chunk_size=args.chunk_size,
             max_litho=args.max_litho,
             serve_config=ServeConfig(
-                max_batch_clips=args.batch_clips,
-                max_delay_s=args.delay_ms / 1e3,
                 max_pending_clips=args.max_pending,
                 threshold=args.threshold,
             ),
@@ -799,7 +790,7 @@ def build_query_parser() -> argparse.ArgumentParser:
                         metavar="SECONDS",
                         help="end-to-end deadline per request; the "
                              "remaining budget rides the frame header "
-                             "and bounds the server-side batch wait "
+                             "and bounds the server-side queue wait "
                              "(default 30)")
     parser.add_argument("--retries", type=_positive_int, default=5,
                         help="attempts per request on retryable "
@@ -875,8 +866,7 @@ def query_main(argv=None) -> int:
                 hotspots += result.n_hotspots
                 print(f"request {i + 1}: {result.n_hotspots} hotspots in "
                       f"{len(result.scores)} clips "
-                      f"(model {result.model}, coalesced "
-                      f"{result.coalesced})")
+                      f"(model {result.model})")
             print(f"total: {hotspots} hotspots in {total} clips")
             return 0
         except TransportError as exc:
@@ -895,7 +885,7 @@ def main(argv=None) -> int:
         print("usage: repro <detect|serve|query|benchmark|report|convert> "
               "[options]\n"
               "  detect     run PSHD on a layout (.glp/.gds)\n"
-              "  serve      batched detection daemon (--listen for the\n"
+              "  serve      detection daemon (--listen for the\n"
               "             network transport, else demo clients)\n"
               "  query      remote client of a serve --listen daemon\n"
               "  benchmark  build ICCAD-style datasets\n"

@@ -85,17 +85,16 @@ Serving events (see :mod:`repro.serve`):
 
 ``request_received``
     ``model, n_clips, queue_depth`` — one per detection request
-    accepted into the daemon's micro-batching queue (rejected requests
-    surface as ``health_alert`` instead).
+    accepted into the daemon's FIFO queue (rejected requests surface
+    as ``health_alert`` instead).
 ``batch_dispatched``
-    ``model, n_requests, n_clips, queue_depth`` — the dispatcher
-    coalesced queued requests of one model into a single
-    extract→scale→predict→calibrate pipeline pass.
+    ``model, n_clips, queue_depth`` — the dispatcher popped the oldest
+    queued request and is scoring it alone in one
+    extract→scale→predict→calibrate pipeline pass; ``queue_depth`` is
+    what is still queued behind it.
 ``request_completed``
-    ``model, n_clips, n_hotspots, coalesced, serve_seconds`` — one per
-    finished request; ``coalesced`` is the clip count of the dispatched
-    batch the request rode in (equal to ``n_clips`` when it rode
-    alone).
+    ``model, n_clips, n_hotspots, serve_seconds`` — one per finished
+    request; ``serve_seconds`` runs from admission to completion.
 
 Transport events (see :mod:`repro.serve.transport`):
 
@@ -411,15 +410,15 @@ class ProgressPrinter:
             )
         elif event.kind == "batch_dispatched":
             line = (
-                f"  serve: dispatched {payload['n_requests']} requests "
-                f"/ {payload['n_clips']} clips (model {payload['model']})"
+                f"  serve: dispatched {payload['n_clips']} clips "
+                f"(model {payload['model']}, "
+                f"{payload['queue_depth']} queued behind)"
             )
         elif event.kind == "request_completed":
             line = (
                 f"  serve: {payload['n_hotspots']} hotspots in "
                 f"{payload['n_clips']} clips "
-                f"(coalesced {payload['coalesced']}, "
-                f"{payload['serve_seconds'] * 1e3:.1f} ms)"
+                f"({payload['serve_seconds'] * 1e3:.1f} ms)"
             )
         elif event.kind == "transport_listening":
             line = (

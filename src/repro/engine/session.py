@@ -173,9 +173,8 @@ class InferenceSession:
         """Standardize ad-hoc clip tensors (not pool rows) into the
         classifier's compute dtype.
 
-        The scaler map is a per-element affine transform, so rows of a
-        coalesced batch are bit-identical to the same rows scaled one
-        request at a time — the property :mod:`repro.serve` relies on.
+        The scaler map is a per-element affine transform, so each row
+        scales the same whatever batch it arrives in.
         """
         return self.classifier.scaler.transform(
             np.asarray(tensors, dtype=np.float64), policy=self._policy()

@@ -1,11 +1,12 @@
-"""Batched hotspot-detection daemon (the request-facing serving layer).
+"""Hotspot-detection daemon (the request-facing serving layer).
 
 :class:`DetectionServer` keeps warm per-model
 :class:`~repro.engine.session.InferenceSession`\\ s, one shared
-:class:`~repro.dataplane.cache.FeatureCache`, and a micro-batching
-request queue: concurrent :meth:`~DetectionServer.submit` calls are
-coalesced into batched extract → scale → predict → calibrate pipeline
-passes, with admission control tied to the litho budget and the
+:class:`~repro.dataplane.cache.FeatureCache`, and a FIFO request
+queue: one dispatcher thread scores the oldest queued
+:meth:`~DetectionServer.submit` call alone in one extract → scale →
+predict → calibrate pipeline pass, with admission control tied to the
+litho budget and the
 :class:`~repro.engine.guard.RunSupervisor` machinery.  See
 :mod:`repro.serve.server` for the full design notes, and
 :mod:`repro.serve.transport` for the out-of-process socket layer

@@ -1,4 +1,4 @@
-"""Persistent in-process detection daemon with micro-batched dispatch.
+"""Persistent in-process detection daemon with a FIFO dispatcher.
 
 The paper's end goal is cheap hotspot detection at chip scale; a
 long-lived service amortizes the expensive warm state — fitted scaler,
@@ -9,10 +9,9 @@ detection requests.  :class:`DetectionServer` is that service:
   per registered model version keeps scaler/network state resident; the
   session's thread-safe scaled cache (PR 9's correctness fix) makes one
   session shareable between the dispatcher and any pool-scoring caller.
-* **micro-batching** — concurrent :meth:`~DetectionServer.submit` calls
-  land in one queue; a single dispatcher thread coalesces all queued
-  requests of the oldest model (up to ``max_batch_clips``, after an
-  optional ``max_delay_s`` coalescing window) into one batched
+* **FIFO dispatch** — concurrent :meth:`~DetectionServer.submit` calls
+  land in one queue; a single dispatcher thread pops the oldest queued
+  request, whatever its model, and scores it alone in one
   extract → scale → predict → calibrate pipeline pass.
 * **shared cache, attributable** — all requests extract through one
   :class:`~repro.dataplane.extract.BatchFeatureExtractor`; its cache
@@ -27,26 +26,23 @@ detection requests.  :class:`DetectionServer` is that service:
 * **typed events** — ``request_received`` / ``batch_dispatched`` /
   ``request_completed`` on the :class:`~repro.engine.events.EventBus`.
 
-Bit-identity: the *extract* and *scale* stages are per-row bit-stable,
-so they run coalesced; the network forward is **not** row-stable across
-BLAS blockings (the same caveat :meth:`InferenceSession.iter_logits`
-documents), so the dispatcher slices the coalesced scaled tensor back
-per request and runs one ``predict_full`` per request — a coalesced
-result is bit-identical to sequential single-request scoring, which the
+Bit-identity: each dispatch scores exactly one request, so a served
+result is bit-identical to sequential single-request scoring
+(``session.predict_tensors(plane.encode_batch(clips))``), which the
 serve tests assert exactly.
 
 Lock discipline (PR 8 rules): all queue/model/counter state is
 ``guarded_by`` one re-entrant tracked lock; blocking waits (the wake
-event, the coalescing sleep, client result waits) happen strictly
-outside the critical sections, and events are emitted outside the
-server lock so the lock-order graph stays ``server → bus``-free.
+event, client result waits) happen strictly outside the critical
+sections, and events are emitted outside the server lock so the
+lock-order graph stays ``server → bus``-free.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -65,6 +61,11 @@ __all__ = [
     "ServeResult",
     "ServerClosed",
 ]
+
+#: dispatcher wake backstop in seconds (a missed wake costs this much)
+_WAKE_BACKSTOP_S = 0.05
+#: seconds :meth:`DetectionServer.close` waits for the drain
+_DRAIN_WAIT_S = 30.0
 
 
 class ServeError(RuntimeError):
@@ -87,33 +88,14 @@ class ServerClosed(ServeError):
 
 @dataclass(frozen=True)
 class ServeConfig:
-    """Queueing and dispatch policy of one :class:`DetectionServer`."""
+    """Admission and verdict policy of one :class:`DetectionServer`."""
 
-    #: largest clip count one dispatched batch may coalesce (a single
-    #: oversized request still dispatches alone)
-    max_batch_clips: int = 256
-    #: coalescing window: after finding work the dispatcher waits this
-    #: long for more requests to arrive before dispatching (0 = none)
-    max_delay_s: float = 0.002
     #: clip backlog bound; a submit pushing past it is shed
     max_pending_clips: int = 2048
     #: calibrated-probability cutoff for the hotspot verdict
     threshold: float = 0.5
-    #: dispatcher poll interval (wake backstop) in seconds
-    poll_s: float = 0.05
-    #: seconds :meth:`DetectionServer.close` waits for the drain
-    drain_timeout_s: float = 30.0
 
     def __post_init__(self) -> None:
-        if self.max_batch_clips <= 0:
-            raise ValueError(
-                f"max_batch_clips must be positive, got "
-                f"{self.max_batch_clips}"
-            )
-        if self.max_delay_s < 0:
-            raise ValueError(
-                f"max_delay_s must be >= 0, got {self.max_delay_s}"
-            )
         if self.max_pending_clips <= 0:
             raise ValueError(
                 f"max_pending_clips must be positive, got "
@@ -122,13 +104,6 @@ class ServeConfig:
         if not 0.0 <= self.threshold <= 1.0:
             raise ValueError(
                 f"threshold must be in [0, 1], got {self.threshold}"
-            )
-        if self.poll_s <= 0:
-            raise ValueError(f"poll_s must be positive, got {self.poll_s}")
-        if self.drain_timeout_s <= 0:
-            raise ValueError(
-                f"drain_timeout_s must be positive, got "
-                f"{self.drain_timeout_s}"
             )
 
 
@@ -146,8 +121,6 @@ class ServeResult:
     embeddings: np.ndarray
     #: model version that scored the request
     model: str
-    #: clip count of the dispatched batch this request rode in
-    coalesced: int
     #: litho ground-truth labels (only with ``want_labels=True``)
     labels: np.ndarray | None = None
 
@@ -192,8 +165,7 @@ class _ModelEntry:
 
     def calibrate(self, logits: np.ndarray) -> np.ndarray:
         """Calibrated probabilities (fitted temperature, else the raw
-        Eq. (4) softmax) — row-local, so per-request and coalesced
-        calibration agree bit-for-bit."""
+        Eq. (4) softmax)."""
         scaler = self.temperature
         if scaler is not None and scaler.temperature_ is not None:
             return scaler.transform(logits)
@@ -201,7 +173,7 @@ class _ModelEntry:
 
 
 class DetectionServer:
-    """Warm multi-model detection daemon with micro-batched dispatch.
+    """Warm multi-model detection daemon with FIFO dispatch.
 
     Parameters
     ----------
@@ -210,7 +182,7 @@ class DetectionServer:
         dispatcher tags its cache traffic with the dispatched model
         version, so ``plane.cache.tenant_stats()`` stays attributable.
     config:
-        Queueing/dispatch policy (:class:`ServeConfig`).
+        Admission/verdict policy (:class:`ServeConfig`).
     bus:
         Optional event bus for the serve events.
     labeler:
@@ -222,8 +194,8 @@ class DetectionServer:
         requests trip its ``serve_overload`` sentinel.
     autostart:
         Start the dispatcher thread immediately (tests queue requests
-        against a stopped server, then :meth:`start` it, to force a
-        deterministic coalescing decision).
+        against a stopped server, then :meth:`start` it, to fix the
+        dispatch order).
     """
 
     # class-level: queue/model/lifecycle state may only be touched
@@ -299,7 +271,7 @@ class DetectionServer:
             request.fail(ServerClosed("server closed before dispatch"))
         self._wake.set()
         if started and self._thread.is_alive():
-            self._thread.join(timeout=self.config.drain_timeout_s)
+            self._thread.join(timeout=_DRAIN_WAIT_S)
         # promptness guarantee: whatever is still queued after the join
         # (a dead dispatcher, a drain that ran out of time) is failed
         # now — a submitter must never stay blocked on its future
@@ -311,8 +283,7 @@ class DetectionServer:
             request.fail(ServerClosed("server closed before dispatch"))
         if started and self._thread.is_alive():
             raise ServeError(
-                "dispatcher did not drain within "
-                f"{self.config.drain_timeout_s}s"
+                f"dispatcher did not drain within {_DRAIN_WAIT_S}s"
             )
 
     def __enter__(self) -> "DetectionServer":
@@ -361,8 +332,8 @@ class DetectionServer:
         want_labels: bool = False,
         timeout: float | None = None,
     ) -> ServeResult:
-        """Score ``clips``; blocks until the coalesced dispatch served
-        the request (or ``timeout`` seconds passed).
+        """Score ``clips``; blocks until the dispatcher served the
+        request (or ``timeout`` seconds passed).
 
         Raises :class:`AdmissionError` when shed, :class:`ServerClosed`
         after :meth:`close`, and re-raises any pipeline failure of this
@@ -419,7 +390,7 @@ class DetectionServer:
         self._wake.set()
         if not request.done.wait(timeout):
             # withdraw a still-queued request so the dispatcher never
-            # wastes a batch slot on a caller that already gave up
+            # scores it for a caller that already gave up
             with self._lock:
                 try:
                     self._queue.remove(request)
@@ -477,7 +448,8 @@ class DetectionServer:
     # observability
     # ------------------------------------------------------------------
     def stats(self) -> dict:
-        """Lifetime serving counters plus per-tenant cache stats."""
+        """Lifetime serving counters plus per-tenant cache stats
+        (``batches`` counts dispatches, one request each)."""
         with self._lock:
             counters = dict(self._counters)
             depth = len(self._queue)
@@ -493,140 +465,68 @@ class DetectionServer:
     # dispatcher
     # ------------------------------------------------------------------
     def _run(self) -> None:
-        cfg = self.config
         while True:
-            self._wake.wait(timeout=cfg.poll_s)
-            self._wake.clear()
             with self._lock:
-                has_work = bool(self._queue)
-                backlog = self._pending_clips
+                request = self._queue.pop(0) if self._queue else None
+                if request is not None:
+                    self._pending_clips -= len(request.clips)
+                depth = len(self._queue)
                 closed = self._closed
-            if not has_work:
-                if closed:
-                    return
-                continue
-            if (
-                cfg.max_delay_s > 0.0
-                and not closed
-                and backlog < cfg.max_batch_clips
-            ):
-                # coalescing window: let concurrent clients pile on
-                time.sleep(cfg.max_delay_s)
-            batch = self._take_batch()
-            if batch:
-                self._dispatch(batch)
+            if request is not None:
+                self._dispatch(request, depth)
+            elif closed:
+                return
+            else:
+                self._wake.wait(timeout=_WAKE_BACKSTOP_S)
+                self._wake.clear()
 
-    def _take_batch(self) -> list[_Request]:
-        """Pop the oldest request's model group from the queue, FIFO,
-        capped at ``max_batch_clips`` (other models keep their place)."""
-        cfg = self.config
-        with self._lock:
-            if not self._queue:
-                return []
-            model = self._queue[0].model
-            batch: list[_Request] = []
-            taken = 0
-            i = 0
-            while i < len(self._queue):
-                request = self._queue[i]
-                if request.model != model:
-                    i += 1
-                    continue
-                if batch and taken + len(request.clips) > cfg.max_batch_clips:
-                    break
-                batch.append(self._queue.pop(i))
-                taken += len(request.clips)
-            self._pending_clips -= taken
-            more = bool(self._queue)
-        if more:
-            # other models (or overflow) are still queued — dispatch
-            # again immediately instead of sleeping out the poll
-            self._wake.set()
-        return batch
-
-    def _dispatch(self, batch: list[_Request]) -> None:
-        """One coalesced pipeline pass: shared extract + scale, then a
-        per-request forward slice (bit-identity, see module docs)."""
-        model = batch[0].model
-        assert model is not None
-        all_clips = [clip for request in batch for clip in request.clips]
+    def _dispatch(self, request: _Request, depth: int) -> None:
+        """Score one request alone: extract → scale → predict →
+        calibrate (bit-identity, see module docs)."""
+        model = request.model
+        n = len(request.clips)
         with self._lock:
             entry = self._models[model]
-            depth = len(self._queue)
             self._counters["batches"] += 1
-            self._counters["dispatched_clips"] += len(all_clips)
+            self._counters["dispatched_clips"] += n
         if self.bus is not None:
             self.bus.emit(
-                "batch_dispatched",
-                model=model,
-                n_requests=len(batch),
-                n_clips=len(all_clips),
-                queue_depth=depth,
+                "batch_dispatched", model=model, n_clips=n, queue_depth=depth
             )
         # the dispatcher is the only thread driving the plane, so the
-        # tenant tag is safe to swap per dispatched batch
+        # tenant tag is safe to swap per dispatch
         self.plane.tenant = model
         try:
-            tensors = self.plane.encode_batch(all_clips)
-            scaled = entry.session.scale_tensors(tensors)
-        except BaseException as exc:  # noqa: BLE001 - routed to clients
-            for request in batch:
-                request.fail(exc)
-            with self._lock:
-                self._counters["failed"] += len(batch)
-            return
-        offset = 0
-        for request in batch:
-            n = len(request.clips)
-            part = scaled[offset : offset + n]
-            offset += n
-            try:
-                result = self._score_request(
-                    request, entry, part, model, len(all_clips)
-                )
-            except BaseException as exc:  # noqa: BLE001 - routed to client
-                request.fail(exc)
-                with self._lock:
-                    self._counters["failed"] += 1
-                continue
-            request.complete(result)
-            with self._lock:
-                self._counters["completed"] += 1
-            if self.bus is not None:
-                self.bus.emit(
-                    "request_completed",
-                    model=model,
-                    n_clips=n,
-                    n_hotspots=result.n_hotspots,
-                    coalesced=len(all_clips),
-                    serve_seconds=time.perf_counter() - request.received,
-                )
-
-    def _score_request(
-        self,
-        request: _Request,
-        entry: _ModelEntry,
-        scaled_part: np.ndarray,
-        model: str,
-        coalesced: int,
-    ) -> ServeResult:
-        prediction = entry.session.classifier.predict_full(
-            scaled_part, prescaled=True
-        )
-        probs = entry.calibrate(prediction.logits)
-        scores = np.asarray(probs[:, 1])
-        verdicts = scores >= self.config.threshold
-        labels = None
-        if request.want_labels:
-            labels = np.asarray(
-                self.labeler.label_batch(request.clips), dtype=np.int64
+            prediction = entry.session.predict_tensors(
+                self.plane.encode_batch(request.clips)
             )
-        return ServeResult(
+            scores = np.asarray(entry.calibrate(prediction.logits)[:, 1])
+            labels = None
+            if request.want_labels:
+                labels = np.asarray(
+                    self.labeler.label_batch(request.clips), dtype=np.int64
+                )
+        except BaseException as exc:  # noqa: BLE001 - routed to client
+            request.fail(exc)
+            with self._lock:
+                self._counters["failed"] += 1
+            return
+        result = ServeResult(
             scores=scores,
-            verdicts=verdicts,
+            verdicts=scores >= self.config.threshold,
             logits=prediction.logits,
             embeddings=prediction.embeddings,
             model=model,
-            coalesced=coalesced,
             labels=labels,
         )
+        request.complete(result)
+        with self._lock:
+            self._counters["completed"] += 1
+        if self.bus is not None:
+            self.bus.emit(
+                "request_completed",
+                model=model,
+                n_clips=n,
+                n_hotspots=result.n_hotspots,
+                serve_seconds=time.perf_counter() - request.received,
+            )

@@ -10,7 +10,7 @@ handling a network boundary demands:
   error is discarded (a desynced byte stream can never be reused).
 * **end-to-end deadline** — every call runs under one monotonic
   deadline; the *remaining* budget rides each request frame's
-  ``deadline_ms`` header and bounds the server-side batch wait, so
+  ``deadline_ms`` header and bounds the server-side queue wait, so
   client and server always agree on how long the request may live.
 * **bounded retry with seeded jitter** — retryable failures (see
   :mod:`repro.serve.transport.errors`) reconnect and retry under

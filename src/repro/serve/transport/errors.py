@@ -18,7 +18,7 @@ error                 retryable  meaning
 ``RemoteOverloaded``  yes        server error frame: admission shed or
                                  connection cap — back off and retry
 ``RemoteTimeout``     yes        server error frame: the server-side
-                                 batch wait missed the propagated
+                                 queue wait missed the propagated
                                  deadline
 ``ProtocolMismatch``  no         a CRC-valid frame carries a different
                                  protocol version (or the server said

@@ -24,7 +24,7 @@ happened to hit the version bytes (retryable).
 ``deadline_ms`` is how the client's deadline rides the wire: the server
 turns it back into a ``timeout=`` bound on
 :meth:`~repro.serve.DetectionServer.submit`, so a request never waits
-in the server's batch queue longer than its submitter is still
+in the server's dispatch queue longer than its submitter is still
 listening.
 
 Payloads are ``numpy.savez`` archives (clips and scored results — the
@@ -77,7 +77,8 @@ __all__ = [
 ]
 
 MAGIC = b"RHSD"
-PROTOCOL_VERSION = 1
+#: 2: scored results dropped the dispatched-batch clip count
+PROTOCOL_VERSION = 2
 
 #: frame types (u8)
 T_REQUEST = 1
@@ -97,7 +98,7 @@ _HEADER = struct.Struct(">4sHBBQIII")
 HEADER_SIZE = _HEADER.size  # 28
 
 #: decode-side guard: a header claiming a larger payload is corrupt
-#: (64 MiB comfortably holds the largest coalesced response)
+#: (64 MiB comfortably holds the largest scored response)
 MAX_FRAME_BYTES = 64 * 1024 * 1024
 
 
@@ -297,7 +298,6 @@ def encode_result(result: ServeResult) -> bytes:
         "logits": result.logits,
         "embeddings": result.embeddings,
         "model": np.array(result.model),
-        "coalesced": np.array(int(result.coalesced), dtype=np.int64),
         "has_labels": np.array(result.labels is not None),
     }
     if result.labels is not None:
@@ -319,7 +319,6 @@ def decode_result(payload: bytes) -> ServeResult:
                 logits=data["logits"],
                 embeddings=data["embeddings"],
                 model=str(data["model"][()]),
-                coalesced=int(data["coalesced"][()]),
                 labels=labels,
             )
     except (OSError, ValueError, KeyError, zlib.error) as exc:

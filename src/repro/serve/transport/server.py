@@ -16,10 +16,11 @@ bytes hit them:
   (an idle peer is disconnected, never accumulated), writes under
   ``write_timeout_s`` (a peer that stops reading cannot wedge a
   handler).
-* **deadline propagation** — a request frame's ``deadline_ms`` becomes
-  the ``timeout=`` bound on :meth:`DetectionServer.submit`, so the
-  batch queue never holds a request longer than its client will wait;
-  a server-side miss comes back as a retryable ``timeout`` error frame.
+* **deadline propagation** — 90% of a request frame's ``deadline_ms``
+  becomes the ``timeout=`` bound on :meth:`DetectionServer.submit`, so
+  the dispatch queue never holds a request longer than its client will
+  wait; a server-side miss comes back as a retryable ``timeout`` error
+  frame, early enough to reach the client before its own deadline.
 * **typed error frames** — every failure is reported with a code and a
   retryable bit (see ``_ERROR_MAP``): shed/timeout are retryable,
   drain/closed/protocol/bad-request are terminal.  A corrupt inbound
@@ -55,6 +56,11 @@ _ERROR_MAP = (
     (RequestTimeout, ("timeout", True)),
     (ServerClosed, ("closed", False)),
 )
+
+#: share of a request's propagated deadline it may spend queued.  The
+#: client reads the reply under that same deadline, so a server that
+#: waited all of it would answer ``timeout`` after the client gave up.
+_QUEUE_SHARE = 0.9
 
 
 @dataclass(frozen=True)
@@ -195,6 +201,11 @@ class SocketTransport:
             live = list(self._connections.values())
             handlers = list(self._handlers)
             n_live = len(live)
+        try:
+            # close() alone does not wake a thread blocked in accept()
+            self._listener.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass  # not connected on this platform; close() still frees it
         self._listener.close()
         for conn in live:
             try:
@@ -384,7 +395,10 @@ class SocketTransport:
             return self._send_error(conn, rid, "bad_request", str(exc), False)
         with self._lock:
             self._counters["requests"] += 1
-        timeout = frame.deadline_ms / 1e3 if frame.deadline_ms else None
+        timeout = (
+            _QUEUE_SHARE * frame.deadline_ms / 1e3
+            if frame.deadline_ms else None
+        )
         try:
             result = self.server.submit(
                 clips, model=model, want_labels=want_labels, timeout=timeout

@@ -89,8 +89,8 @@ class TestServeValidation:
             ["--clients", "0"],
             ["--requests", "-1"],
             ["--request-clips", "0"],
-            ["--batch-clips", "0"],
-            ["--delay-ms", "-1"],
+            ["--max-pending", "-1"],
+            ["--threshold", "-0.5"],
             ["--max-pending", "0"],
             ["--train-clips", "0"],
             ["--epochs", "0"],
@@ -116,12 +116,16 @@ class TestServeValidation:
     def test_defaults_parse(self):
         args = build_serve_parser().parse_args(["layout.glp"])
         assert args.clients == 2
-        assert args.batch_clips == 256
+        assert args.max_pending == 2048
         assert args.threshold == 0.5
         assert args.listen is None
         assert args.port == 7643
         assert args.max_connections == 32
         assert args.read_timeout == 30.0
+        # the dispatcher is FIFO: no coalescing knobs remain
+        usage = build_serve_parser().format_help()
+        assert "--batch-clips" not in usage
+        assert "--delay-ms" not in usage
 
 
 class TestQueryValidation:

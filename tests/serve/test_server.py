@@ -1,7 +1,8 @@
 """Tests of the batched hotspot-detection daemon (:mod:`repro.serve`).
 
-The load-bearing assertions mirror the acceptance criteria: coalesced
-batch results are bit-identical to sequential single-request scoring,
+The load-bearing assertions mirror the acceptance criteria: FIFO
+dispatch scores one request at a time, bit-identical to sequential
+single-request scoring,
 admission control sheds work at the queue and litho-budget limits, and
 ``close(drain=True)`` completes every queued request before returning.
 """
@@ -113,8 +114,8 @@ def _await_queued(server, n, deadline_s=10.0):
         time.sleep(0.005)
 
 
-class TestCoalescedBitIdentity:
-    def test_coalesced_matches_sequential_bitwise(self, corpus):
+class TestFifoDispatch:
+    def test_each_request_matches_sequential_bitwise(self, corpus):
         pool, clf, temperature = (
             corpus["pool"], corpus["clf"], corpus["temperature"],
         )
@@ -133,15 +134,10 @@ class TestCoalescedBitIdentity:
             probs = temperature.transform(prediction.logits)
             expected.append((prediction.logits, probs[:, 1]))
 
-        # --- served: all three requests coalesced into ONE dispatch
+        # --- served: all three queued on a stopped server, then started
         bus = EventBus()
         log = bus.subscribe(EventLog())
-        server = DetectionServer(
-            _plane(bus),
-            ServeConfig(max_batch_clips=64, max_delay_s=0.0),
-            bus=bus,
-            autostart=False,
-        )
+        server = DetectionServer(_plane(bus), bus=bus, autostart=False)
         server.register_model("v1", clf, temperature=temperature)
         threads, results, errors = _submit_all(server, requests)
         _await_queued(server, len(requests))
@@ -151,47 +147,48 @@ class TestCoalescedBitIdentity:
         assert errors == [None, None, None]
         server.close()
 
-        total = sum(len(r) for r in requests)
         for result, (logits, scores) in zip(results, expected):
-            assert result.coalesced == total  # one batch served all
             assert np.array_equal(result.logits, logits)
             assert np.array_equal(result.scores, scores)
             assert np.array_equal(result.verdicts, scores >= 0.5)
 
+        # one dispatch per request, in arrival order
+        received = [
+            e.payload["n_clips"] for e in log.of_kind("request_received")
+        ]
         dispatched = log.of_kind("batch_dispatched")
-        assert len(dispatched) == 1
-        assert dispatched[0].payload["n_requests"] == 3
-        assert dispatched[0].payload["n_clips"] == total
-        assert len(log.of_kind("request_received")) == 3
+        assert sorted(received) == [3, 4, 6]
+        assert [e.payload["n_clips"] for e in dispatched] == received
+        assert [e.payload["queue_depth"] for e in dispatched] == [2, 1, 0]
         completed = log.of_kind("request_completed")
         assert len(completed) == 3
-        assert all(e.payload["coalesced"] == total for e in completed)
         assert all(e.payload["serve_seconds"] > 0 for e in completed)
+        stats = server.stats()
+        assert stats["batches"] == 3
+        assert stats["mean_batch_clips"] == sum(received) / 3
 
-    def test_batch_cap_splits_dispatches(self, corpus):
-        """A max_batch_clips below the backlog forces multiple
-        dispatches; results stay identical to the coalesced run."""
-        pool = corpus["pool"]
+    def test_oldest_request_goes_first_whatever_its_model(self, corpus):
         bus = EventBus()
         log = bus.subscribe(EventLog())
-        server = DetectionServer(
-            _plane(bus),
-            ServeConfig(max_batch_clips=5, max_delay_s=0.0),
-            bus=bus,
-            autostart=False,
-        )
+        server = DetectionServer(_plane(bus), bus=bus, autostart=False)
         server.register_model("v1", corpus["clf"], corpus["temperature"])
-        requests = [pool[0:4], pool[4:8], pool[8:12]]
-        threads, results, errors = _submit_all(server, requests)
-        _await_queued(server, len(requests))
+        server.register_model("v2", corpus["clf"])
+        pool = corpus["pool"]
+        order = ["v1", "v2", "v1"]
+        threads = []
+        for i, model in enumerate(order):
+            started, _, _ = _submit_all(
+                server, [pool[2 * i : 2 * i + 2]], model=model
+            )
+            threads += started
+            _await_queued(server, i + 1)
         server.start()
         for thread in threads:
             thread.join(120)
         server.close()
-        assert errors == [None, None, None]
-        # 4-clip requests against a 5-clip cap: one request per batch
-        assert len(log.of_kind("batch_dispatched")) == 3
-        assert all(r.coalesced == 4 for r in results)
+        dispatched = log.of_kind("batch_dispatched")
+        assert [e.payload["model"] for e in dispatched] == order
+        assert server.stats()["completed"] == 3
 
 
 class TestAdmissionControl:
@@ -269,11 +266,7 @@ class TestAdmissionControl:
 
 class TestLifecycle:
     def test_close_drains_queued_requests(self, corpus):
-        server = DetectionServer(
-            _plane(),
-            ServeConfig(max_delay_s=0.05),
-            autostart=False,
-        )
+        server = DetectionServer(_plane(), autostart=False)
         server.register_model("v1", corpus["clf"])
         pool = corpus["pool"]
         requests = [pool[i : i + 2] for i in range(0, 12, 2)]
@@ -376,11 +369,9 @@ class TestObservability:
         assert plane.cache.tenant_stats() == tenants
 
     def test_config_validation(self):
-        with pytest.raises(ValueError, match="max_batch_clips"):
-            ServeConfig(max_batch_clips=0)
         with pytest.raises(ValueError, match="max_pending_clips"):
             ServeConfig(max_pending_clips=0)
-        with pytest.raises(ValueError, match="max_delay_s"):
-            ServeConfig(max_delay_s=-1.0)
         with pytest.raises(ValueError, match="threshold"):
             ServeConfig(threshold=1.5)
+        with pytest.raises(ValueError, match="threshold"):
+            ServeConfig(threshold=-0.1)

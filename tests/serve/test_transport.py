@@ -13,6 +13,7 @@ lock-held.
 import socket
 import struct
 import threading
+import time
 import zlib
 
 import numpy as np
@@ -353,6 +354,23 @@ class TestTransportIntegration:
             with pytest.raises((ConnectionLost, ReadTimeout)):
                 late.health()
         assert stack["log"].of_kind("transport_drain")
+
+
+class TestTransportShutdown:
+    def test_close_is_prompt_and_stops_accept_thread(self, trained):
+        # regression: closing a listening socket does not wake a thread
+        # blocked in accept(), so close() used to wait out its join
+        server = DetectionServer(make_plane(), ServeConfig())
+        server.register_model("v1", trained["clf"], trained["temperature"])
+        transport = SocketTransport(server, TransportConfig()).start()
+        host, port = transport.address
+        with DetectionClient(ClientConfig(host=host, port=port)) as client:
+            assert client.health()["status"] == "ok"
+        started = time.monotonic()
+        transport.close(drain=True)
+        elapsed = time.monotonic() - started
+        assert elapsed < 1.0, f"close() took {elapsed:.2f}s"
+        assert not transport._accept_thread.is_alive()
 
 
 # ----------------------------------------------------------------------
