@@ -15,6 +15,7 @@ test-threads:
 		tests/analysis/test_interleave.py \
 		tests/dataplane/test_cache_threads.py \
 		tests/dataplane/test_stream_threads.py \
+		tests/litho/test_faults.py \
 		tests/nn/test_arena_threads.py \
 		-x -q
 	REPRO_BENCH_QUICK=1 python -m pytest benchmarks/bench_concurrency.py -x -q

@@ -26,6 +26,7 @@ from repro.bench import format_table, write_report
 from repro.calibration.temperature import TemperatureScaler
 from repro.data.synth import EUV_RULES, generate_layout
 from repro.dataplane import BatchFeatureExtractor, DataPlaneConfig
+from repro.engine.faults import RetryPolicy
 from repro.features import FeatureExtractor
 from repro.layout import extract_clip_grid
 from repro.model.classifier import HotspotClassifier
@@ -154,7 +155,8 @@ def _measure_remote(clf, temperature, pool, n_clients):
     host, port = transport.address
     clients = [
         DetectionClient(ClientConfig(
-            host=host, port=port, timeout_s=600.0, retries=3,
+            host=host, port=port, timeout_s=600.0,
+            retry=RetryPolicy(3, 0.05, 2.0),
         ))
         for _ in range(n_clients)
     ]

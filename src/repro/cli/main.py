@@ -82,6 +82,21 @@ def _nonnegative_float(text: str) -> float:
     return value
 
 
+def _grid(text: str) -> int:
+    """A raster resolution :class:`FeatureExtractor` accepts (the rule
+    lives there alone, so it is checked by constructing one)."""
+    value = _positive_int(text)
+    from ..features.pipeline import FeatureExtractor
+
+    try:
+        FeatureExtractor(grid=value)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(
+            f"expected a grid the feature extractor accepts: {exc}"
+        ) from None
+    return value
+
+
 def _port(text: str) -> int:
     try:
         value = int(text)
@@ -92,6 +107,29 @@ def _port(text: str) -> int:
             f"expected a port in [1, 65535], got {value}"
         )
     return value
+
+
+# ----------------------------------------------------------------------
+# layout input of detect, serve and query
+# ----------------------------------------------------------------------
+
+def _load_layout(path: str, tech: int | None):
+    """Read a GDS (by extension) or GLP layout and apply ``--tech``;
+    ``None`` after printing ``error: ...`` when it cannot be read."""
+    from ..layout.gds import load_gds
+    from ..layout.glp import load_layout
+
+    try:
+        if str(path).lower().endswith((".gds", ".gdsii")):
+            layout = load_gds(path, tech_nm=tech or 28)
+        else:
+            layout = load_layout(path)
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return None
+    if tech is not None:
+        layout.tech_nm = tech
+    return layout
 
 
 # ----------------------------------------------------------------------
@@ -112,7 +150,7 @@ def build_detect_parser() -> argparse.ArgumentParser:
                         help="clip window size in nm (default: per tech)")
     parser.add_argument("--core-margin", type=_positive_int, default=None,
                         help="core-region margin in nm (default: per tech)")
-    parser.add_argument("--grid", type=_positive_int, default=96,
+    parser.add_argument("--grid", type=_grid, default=96,
                         help="raster resolution in pixels (default 96)")
     parser.add_argument("--iterations", type=_positive_int, default=6,
                         help="active-learning iterations (default 6)")
@@ -219,21 +257,12 @@ def detect_main(argv=None) -> int:
     from ..engine import EventBus, ProgressPrinter
     from ..features.pipeline import FeatureExtractor
     from ..layout.clip import extract_clip_grid
-    from ..layout.gds import load_gds
-    from ..layout.glp import load_layout
     from ..litho.labeler import LithoLabeler
     from ..litho.simulator import LithoSimulator
 
-    try:
-        if str(args.layout).lower().endswith((".gds", ".gdsii")):
-            layout = load_gds(args.layout, tech_nm=args.tech or 28)
-        else:
-            layout = load_layout(args.layout)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    layout = _load_layout(args.layout, args.tech)
+    if layout is None:
         return 2
-    if args.tech is not None:
-        layout.tech_nm = args.tech
 
     rules = EUV_RULES if layout.tech_nm <= 10 else DUV_RULES
     clip_size = args.clip_size or rules.clip_size
@@ -268,12 +297,15 @@ def detect_main(argv=None) -> int:
     )
     simulator = LithoSimulator.for_tech(layout.tech_nm, grid=args.grid)
     if args.chaos_faults > 0:
-        from ..litho.faults import FaultPlan, FlakySimulator
+        from ..engine.faults import FaultInjector, FaultPlan
+        from ..litho.faults import FlakySimulator
 
         # spread the faults so the per-clip retry budget absorbs each
         # one (consecutive call indices never share a fault)
-        plan = FaultPlan.at(*(i * 7 for i in range(args.chaos_faults)))
-        simulator = FlakySimulator(simulator, plan)
+        plan = FaultPlan(
+            dict.fromkeys(range(0, 7 * args.chaos_faults, 7), "fail")
+        )
+        simulator = FlakySimulator(simulator, FaultInjector(plan))
         print(f"chaos: injecting {args.chaos_faults} transient litho "
               "faults")
     print("labeling ground truth via lithography simulation "
@@ -556,7 +588,7 @@ def build_serve_parser() -> argparse.ArgumentParser:
     parser.add_argument("--tech", type=int, default=None,
                         help="technology node in nm for GDS input "
                              "(GLP carries its own)")
-    parser.add_argument("--grid", type=_positive_int, default=96,
+    parser.add_argument("--grid", type=_grid, default=96,
                         help="raster resolution in pixels (default 96)")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--arch", choices=("mlp", "cnn"), default="mlp")
@@ -619,21 +651,12 @@ def serve_main(argv=None) -> int:
 
     from ..engine import EventBus, ProgressPrinter
     from ..engine.guard import GuardConfig, RunSupervisor
-    from ..layout.gds import load_gds
-    from ..layout.glp import load_layout
     from ..serve import ServeConfig
     from ..serve.bootstrap import bootstrap_server
 
-    try:
-        if str(args.layout).lower().endswith((".gds", ".gdsii")):
-            layout = load_gds(args.layout, tech_nm=args.tech or 28)
-        else:
-            layout = load_layout(args.layout)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    layout = _load_layout(args.layout, args.tech)
+    if layout is None:
         return 2
-    if args.tech is not None:
-        layout.tech_nm = args.tech
 
     bus = EventBus()
     if not args.quiet:
@@ -808,6 +831,7 @@ def query_main(argv=None) -> int:
     args = build_query_parser().parse_args(argv)
 
     import json
+    from dataclasses import replace
 
     from ..serve.transport import (
         ClientConfig,
@@ -819,7 +843,7 @@ def query_main(argv=None) -> int:
         host=args.host,
         port=args.port,
         timeout_s=args.timeout,
-        retries=args.retries,
+        retry=replace(ClientConfig.retry, attempts=args.retries),
     )
     with DetectionClient(config) as client:
         try:
@@ -834,19 +858,10 @@ def query_main(argv=None) -> int:
 
             from ..data.synth import DUV_RULES, EUV_RULES
             from ..layout.clip import extract_clip_grid
-            from ..layout.gds import load_gds
-            from ..layout.glp import load_layout
 
-            try:
-                if str(args.layout).lower().endswith((".gds", ".gdsii")):
-                    layout = load_gds(args.layout, tech_nm=args.tech or 28)
-                else:
-                    layout = load_layout(args.layout)
-            except (OSError, ValueError) as exc:
-                print(f"error: {exc}", file=sys.stderr)
+            layout = _load_layout(args.layout, args.tech)
+            if layout is None:
                 return 2
-            if args.tech is not None:
-                layout.tech_nm = args.tech
             rules = EUV_RULES if layout.tech_nm <= 10 else DUV_RULES
             clips = extract_clip_grid(
                 layout, rules.clip_size, rules.core_margin, drop_empty=False

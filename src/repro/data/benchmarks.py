@@ -8,7 +8,8 @@ are preserved (DESIGN.md, substitutions table).
 
 Because full-benchmark simulation is the dominant build cost, built
 datasets are cached on disk (``REPRO_CACHE_DIR`` or ``.cache/`` in the
-working tree) keyed by spec, scale and seed.
+working tree) keyed by spec, scale and seed.  The cache stores float64
+features, so a reloaded dataset is bit-identical to a fresh build.
 """
 
 from __future__ import annotations
@@ -83,7 +84,9 @@ def _cache_dir() -> Path:
 
 
 def _cache_key(name: str, scale: float, seed: int, grid: int) -> str:
-    return f"{name}_s{scale:g}_r{seed}_g{grid}.npz"
+    # the "_f64" suffix keeps the lossy float32 files of older builds
+    # from ever being read
+    return f"{name}_s{scale:g}_r{seed}_g{grid}_f64.npz"
 
 
 def build_benchmark(
@@ -199,8 +202,8 @@ def _save_cache(path: Path, dataset: ClipDataset) -> None:
     np.savez_compressed(
         path,
         labels=dataset.labels,
-        tensors=dataset.tensors.astype(np.float32),
-        flats=dataset.flats.astype(np.float32),
+        tensors=dataset.tensors,
+        flats=dataset.flats,
         windows=windows,
         cores=cores,
         hashes=dataset.meta["hashes"],
@@ -232,8 +235,8 @@ def _load_cached(path: Path, spec: BenchmarkSpec) -> ClipDataset:
             tech_nm=int(archive["tech_nm"]),
             clips=clips,
             labels=archive["labels"],
-            tensors=archive["tensors"].astype(np.float64),
-            flats=archive["flats"].astype(np.float64),
+            tensors=archive["tensors"],
+            flats=archive["flats"],
             meta={
                 "scale": float(archive["scale"]),
                 "seed": int(archive["seed"]),

@@ -37,7 +37,7 @@ from ..engine.events import EventBus
 from ..features.pipeline import FeatureExtractor
 from .cache import FeatureCache, feature_key
 from .config import DataPlaneConfig
-from .pool import imap_chunks
+from .pool import imap_chunks, on_timeout
 
 __all__ = ["BatchFeatureExtractor", "FeatureBatch"]
 
@@ -112,29 +112,6 @@ class BatchFeatureExtractor:
         #: cache's per-tenant stats (the serving daemon sets it to the
         #: dispatched model version from its single dispatcher thread)
         self.tenant: str | None = None
-
-    def _watchdog_fired(self, chunk_index: int) -> None:
-        """A pooled extraction chunk hung past the deadline and was
-        re-run serially; surface it as a guard event pair."""
-        if self.bus is None:
-            return
-        self.bus.emit(
-            "health_alert",
-            sentinel="pool_watchdog",
-            stage="extract",
-            detail=(
-                f"chunk {chunk_index} exceeded "
-                f"{self.config.task_timeout}s deadline"
-            ),
-            chunk=chunk_index,
-        )
-        self.bus.emit(
-            "recovery_applied",
-            policy="serial_fallback",
-            sentinel="pool_watchdog",
-            stage="extract",
-            chunk=chunk_index,
-        )
 
     # ------------------------------------------------------------------
     @property
@@ -237,7 +214,7 @@ class BatchFeatureExtractor:
             workers=cfg.workers,
             executor=cfg.executor,
             timeout=cfg.task_timeout,
-            on_timeout=self._watchdog_fired,
+            on_timeout=on_timeout(self.bus, "extract", cfg.task_timeout),
         )
         cursor = 0
         n_chunks = 0

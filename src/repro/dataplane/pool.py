@@ -23,7 +23,7 @@ from typing import Callable, Iterator, Optional, Sequence, TypeVar
 
 from ..analysis.interleave import trace_point
 
-__all__ = ["chunked", "imap_chunks", "map_chunks"]
+__all__ = ["chunked", "imap_chunks", "map_chunks", "on_timeout"]
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -35,6 +35,35 @@ def chunked(items: Sequence[T], size: int) -> list[list[T]]:
         raise ValueError(f"chunk size must be positive, got {size}")
     items = list(items)
     return [items[i : i + size] for i in range(0, len(items), size)]
+
+
+def on_timeout(
+    bus, stage: str, timeout: Optional[float]
+) -> Optional[Callable[[int], None]]:
+    """The watchdog callback of one pooled ``stage``: a chunk that hung
+    past ``timeout`` and was re-run serially surfaces on ``bus`` as one
+    ``health_alert``/``recovery_applied`` guard event pair.  ``None``
+    (nothing to report) without a bus or a deadline."""
+    if bus is None or timeout is None:
+        return None
+
+    def fired(chunk_index: int) -> None:
+        bus.emit(
+            "health_alert",
+            sentinel="pool_watchdog",
+            stage=stage,
+            detail=f"chunk {chunk_index} exceeded {timeout}s deadline",
+            chunk=chunk_index,
+        )
+        bus.emit(
+            "recovery_applied",
+            policy="serial_fallback",
+            sentinel="pool_watchdog",
+            stage=stage,
+            chunk=chunk_index,
+        )
+
+    return fired
 
 
 def _iter_chunks(

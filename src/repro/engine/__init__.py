@@ -12,6 +12,9 @@ The production-shaped inference layer under the AL framework:
 * :class:`RunCheckpoint` + atomic save/load — crash-safe snapshots of a
   running Algorithm 2 loop with bit-identical resume (see
   :mod:`repro.engine.checkpoint`).
+* :mod:`repro.engine.faults` — the one :class:`RetryPolicy` and the one
+  deterministic :class:`FaultPlan` of the litho labeler and the socket
+  transport.
 """
 
 from .checkpoint import (
@@ -30,6 +33,7 @@ from .events import (
     HistoryRecorder,
     ProgressPrinter,
 )
+from .faults import FAULT_KINDS, FaultInjector, FaultPlan, RetryPolicy
 from .guard import GuardConfig, GuardReport, RunSupervisor
 from .registry import (
     MethodSpec,
@@ -54,6 +58,10 @@ __all__ = [
     "EventLog",
     "HistoryRecorder",
     "ProgressPrinter",
+    "FAULT_KINDS",
+    "FaultInjector",
+    "FaultPlan",
+    "RetryPolicy",
     "GuardConfig",
     "GuardReport",
     "RunSupervisor",

@@ -5,7 +5,7 @@ as the expensive labeling oracle of the PSHD problem."""
 from .contour import cd_uniformity, contour_crossings, measure_cd
 from .drc import DRCRules, DRCViolation, check_clip, drc_screen
 from .epe import Defect, edge_placement_error, find_defects
-from .faults import FaultPlan, FlakySimulator, TransientSimulationError
+from .faults import FlakySimulator, TransientSimulationError
 from .opc import OPCConfig, OPCResult, optimize_mask, print_error
 from .labeler import SECONDS_PER_LITHO_CLIP, LithoBudgetExceeded, LithoLabeler
 from .optics import OpticalModel, duv_model, euv_model
@@ -32,7 +32,6 @@ __all__ = [
     "LithoBudgetExceeded",
     "SECONDS_PER_LITHO_CLIP",
     "TransientSimulationError",
-    "FaultPlan",
     "FlakySimulator",
     "ProcessWindow",
     "analyze_process_window",

@@ -3,55 +3,29 @@
 Real labeling campaigns run for hours against simulation farms that
 fail transiently — license blips, preempted workers, NFS hiccups.  The
 robustness layer in :class:`repro.litho.labeler.LithoLabeler` retries
-:class:`TransientSimulationError` with bounded exponential backoff; the
-harness here produces those failures deterministically so the retry
-path, per-chunk verdict commits, and checkpoint/resume flows can be
-tested without a flaky farm.
+:class:`TransientSimulationError` under a
+:class:`~repro.engine.faults.RetryPolicy`; the harness here produces
+those failures deterministically so the retry path, per-chunk verdict
+commits, and checkpoint/resume flows can be tested without a flaky
+farm.
 
-:class:`FaultPlan` scripts *which* simulation calls fail by 0-based
-global call index; :class:`FlakySimulator` wraps any object with an
-``is_hotspot`` method and executes the plan while counting calls and
-injected faults.
+:class:`FlakySimulator` wraps any object with an ``is_hotspot`` method
+and fails the simulation calls that a
+:class:`~repro.engine.faults.FaultPlan` schedules, taking each call's
+0-based global index from a shared
+:class:`~repro.engine.faults.FaultInjector`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ..engine.faults import FaultInjector
 from ..layout.clip import Clip
 
-__all__ = ["TransientSimulationError", "FaultPlan", "FlakySimulator"]
+__all__ = ["TransientSimulationError", "FlakySimulator"]
 
 
 class TransientSimulationError(RuntimeError):
     """A retryable simulator failure (the request may succeed if re-run)."""
-
-
-@dataclass(frozen=True)
-class FaultPlan:
-    """Deterministic schedule of injected failures.
-
-    ``fail_calls`` holds the 0-based *global call indices* at which the
-    wrapped simulator raises :class:`TransientSimulationError` instead
-    of answering.  Retries advance the call counter, so e.g.
-    ``FaultPlan.fail_first(2)`` makes the first clip fail twice and then
-    succeed on its third attempt.
-    """
-
-    fail_calls: frozenset[int] = frozenset()
-
-    @classmethod
-    def fail_first(cls, n: int) -> "FaultPlan":
-        """Fail the first ``n`` calls (then succeed forever)."""
-        return cls(frozenset(range(n)))
-
-    @classmethod
-    def at(cls, *call_indices: int) -> "FaultPlan":
-        """Fail exactly the given call indices."""
-        return cls(frozenset(call_indices))
-
-    def should_fail(self, call_index: int) -> bool:
-        return call_index in self.fail_calls
 
 
 class FlakySimulator:
@@ -59,22 +33,20 @@ class FlakySimulator:
 
     ``inner`` is anything with an ``is_hotspot(clip)`` method (a
     :class:`~repro.litho.simulator.LithoSimulator` or a test stub).
-    ``calls`` counts every attempt, ``faults`` the injected failures —
-    both observable after the fact for retry-accounting assertions.
+    Every call claims the next index from ``injector``, whose
+    ``counts()`` report attempts and injected faults for
+    retry-accounting assertions.  A simulation has no partial outcome,
+    so a call fails on every planned fault kind.
     """
 
-    def __init__(self, inner, plan: FaultPlan) -> None:
+    def __init__(self, inner, injector: FaultInjector) -> None:
         self.inner = inner
-        self.plan = plan
-        self.calls = 0
-        self.faults = 0
+        self.injector = injector
 
     def is_hotspot(self, clip: Clip) -> bool:
-        call_index = self.calls
-        self.calls += 1
-        if self.plan.should_fail(call_index):
-            self.faults += 1
+        index, kind = self.injector.next_fault()
+        if kind is not None:
             raise TransientSimulationError(
-                f"injected transient fault at call {call_index}"
+                f"injected transient fault at call {index}"
             )
         return bool(self.inner.is_hotspot(clip))

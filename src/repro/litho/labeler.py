@@ -17,10 +17,10 @@ request before simulating and can fan simulation out over a
 
 Robustness: a simulator raising
 :class:`~repro.litho.faults.TransientSimulationError` is retried per
-clip with bounded exponential backoff, and verdicts are committed to
-the cache *per completed chunk* — a failure in chunk ``N`` never
-discards the already-paid-for verdicts of chunks ``0..N-1``, which is
-what makes long labeling campaigns resumable (see
+clip under a :class:`~repro.engine.faults.RetryPolicy`, and verdicts
+are committed to the cache *per completed chunk* — a failure in chunk
+``N`` never discards the already-paid-for verdicts of chunks
+``0..N-1``, which is what makes long labeling campaigns resumable (see
 :mod:`repro.engine.checkpoint`).
 """
 
@@ -29,8 +29,9 @@ from __future__ import annotations
 import time
 from functools import partial
 
-from ..dataplane.pool import chunked, imap_chunks
+from ..dataplane.pool import chunked, imap_chunks, on_timeout
 from ..engine.events import EventBus
+from ..engine.faults import RetryPolicy
 from ..layout.clip import Clip
 from .faults import TransientSimulationError
 from .simulator import LithoSimulator
@@ -64,34 +65,24 @@ class LithoBudgetExceeded(RuntimeError):
 
 
 def _simulate_clip(
-    simulator: LithoSimulator,
-    clip: Clip,
-    max_retries: int,
-    base_delay: float,
-    max_delay: float,
+    simulator: LithoSimulator, clip: Clip, retry: RetryPolicy
 ) -> tuple[int, int]:
-    """One verdict with bounded-backoff retry; returns ``(verdict,
-    retries_used)``.  Only :class:`TransientSimulationError` is retried;
-    anything else is a real bug and propagates immediately."""
-    attempt = 0
+    """One verdict under ``retry``; returns ``(verdict, retries_used)``.
+    Only :class:`TransientSimulationError` is retried; anything else is
+    a real bug and propagates immediately."""
+    retries = 0
     while True:
         try:
-            return int(simulator.is_hotspot(clip)), attempt
+            return int(simulator.is_hotspot(clip)), retries
         except TransientSimulationError:
-            attempt += 1
-            if attempt > max_retries:
+            retries += 1
+            if retries >= retry.attempts:
                 raise
-            delay = min(base_delay * 2.0 ** (attempt - 1), max_delay)
-            if delay > 0:
-                time.sleep(delay)
+            time.sleep(retry.delay(retries))
 
 
 def _simulate_chunk(
-    clips: list[Clip],
-    simulator: LithoSimulator,
-    max_retries: int = 0,
-    base_delay: float = 0.0,
-    max_delay: float = 0.0,
+    clips: list[Clip], simulator: LithoSimulator, retry: RetryPolicy
 ) -> tuple[list[int], int]:
     """Simulate one chunk (module-level so process pools can pickle it).
 
@@ -101,9 +92,7 @@ def _simulate_chunk(
     verdicts: list[int] = []
     retries = 0
     for clip in clips:
-        verdict, used = _simulate_clip(
-            simulator, clip, max_retries, base_delay, max_delay
-        )
+        verdict, used = _simulate_clip(simulator, clip, retry)
         verdicts.append(verdict)
         retries += used
     return verdicts, retries
@@ -119,37 +108,29 @@ class LithoLabeler:
     ``simulation_retry`` event per chunk that needed transient-failure
     retries.
 
-    ``max_retries`` bounds the per-clip retry budget for
-    :class:`~repro.litho.faults.TransientSimulationError`;
-    ``retry_base_delay`` doubles on each attempt up to
-    ``retry_max_delay`` seconds.  ``max_queries`` caps the number of
-    distinct geometries ever simulated (the litho budget of
-    Definition 3) — exceeding it raises :class:`LithoBudgetExceeded`
-    before any over-budget simulation is paid for.
+    ``retry`` schedules the per-clip attempts at
+    :class:`~repro.litho.faults.TransientSimulationError` (default: 3
+    attempts, backoff from 0.1 s capped at 2.0 s).  ``max_queries``
+    caps the number of distinct geometries ever simulated (the litho
+    budget of Definition 3) — exceeding it raises
+    :class:`LithoBudgetExceeded` before any over-budget simulation is
+    paid for.
     """
 
     def __init__(
         self,
         simulator: LithoSimulator,
         bus: EventBus | None = None,
-        max_retries: int = 2,
-        retry_base_delay: float = 0.1,
-        retry_max_delay: float = 2.0,
+        retry: RetryPolicy = RetryPolicy(3, 0.1, 2.0),
         max_queries: int | None = None,
     ) -> None:
-        if max_retries < 0:
-            raise ValueError(f"max_retries must be >= 0, got {max_retries}")
-        if retry_base_delay < 0 or retry_max_delay < 0:
-            raise ValueError("retry delays must be non-negative")
         if max_queries is not None and max_queries <= 0:
             raise ValueError(
                 f"max_queries must be positive or None, got {max_queries}"
             )
         self.simulator = simulator
         self.bus = bus
-        self.max_retries = max_retries
-        self.retry_base_delay = retry_base_delay
-        self.retry_max_delay = retry_max_delay
+        self.retry = retry
         self.max_queries = max_queries
         self._cache: dict[str, int] = {}
         self.query_count = 0
@@ -172,13 +153,7 @@ class LithoLabeler:
         key = self._key(clip)
         if key not in self._cache:
             self._check_budget(1)
-            verdict, _ = _simulate_clip(
-                self.simulator,
-                clip,
-                self.max_retries,
-                self.retry_base_delay,
-                self.retry_max_delay,
-            )
+            verdict, _ = _simulate_clip(self.simulator, clip, self.retry)
             self.query_count += 1
             self._cache[key] = verdict
         return self._cache[key]
@@ -191,26 +166,6 @@ class LithoLabeler:
         cache statistics on the event bus.
         """
         return [self.label(clip) for clip in clips]
-
-    def _watchdog_fired(self, chunk_index: int, timeout: float) -> None:
-        """A pooled simulation chunk hung past the deadline and was
-        re-run serially; surface it as a guard event pair."""
-        if self.bus is None:
-            return
-        self.bus.emit(
-            "health_alert",
-            sentinel="pool_watchdog",
-            stage="label",
-            detail=f"chunk {chunk_index} exceeded {timeout}s deadline",
-            chunk=chunk_index,
-        )
-        self.bus.emit(
-            "recovery_applied",
-            policy="serial_fallback",
-            sentinel="pool_watchdog",
-            stage="label",
-            chunk=chunk_index,
-        )
 
     def label_batch(
         self,
@@ -252,23 +207,13 @@ class LithoLabeler:
 
         key_chunks = chunked(list(pending), chunk_size)
         results = imap_chunks(
-            partial(
-                _simulate_chunk,
-                simulator=self.simulator,
-                max_retries=self.max_retries,
-                base_delay=self.retry_base_delay,
-                max_delay=self.retry_max_delay,
-            ),
+            partial(_simulate_chunk, simulator=self.simulator, retry=self.retry),
             list(pending.values()),
             chunk_size=chunk_size,
             workers=workers,
             executor=executor,
             timeout=timeout,
-            on_timeout=(
-                None
-                if timeout is None
-                else partial(self._watchdog_fired, timeout=timeout)
-            ),
+            on_timeout=on_timeout(self.bus, "label", timeout),
         )
         total_retries = 0
         for chunk_index, chunk_keys in enumerate(key_chunks):

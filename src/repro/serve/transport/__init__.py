@@ -8,10 +8,12 @@ The wire layer in front of :class:`~repro.serve.DetectionServer`:
   with shedding, per-connection deadlines, typed error frames,
   SIGTERM-triggered graceful drain, health/stats introspection.
 * :class:`DetectionClient` — pooled client with end-to-end deadline
-  propagation, bounded retry + seeded-jitter backoff on retryable
-  faults, and a closed→open→half-open :class:`CircuitBreaker`.
-* :mod:`~repro.serve.transport.faults` — deterministic
-  :class:`TransportFaultPlan` injection for the chaos suite.
+  propagation, retry of retryable faults under the shared
+  :class:`~repro.engine.faults.RetryPolicy` (plus seeded jitter), and a
+  closed→open→half-open :class:`CircuitBreaker`.
+* :mod:`~repro.serve.transport.faults` — :class:`FaultySocket`, which
+  applies a deterministic :class:`~repro.engine.faults.FaultPlan` to
+  outgoing frames for the chaos suite.
 
 See :mod:`repro.serve.transport.errors` for the full retryable vs
 terminal failure taxonomy.
@@ -32,7 +34,7 @@ from .errors import (
     RetryableTransportError,
     TransportError,
 )
-from .faults import FaultInjector, TransportFaultPlan
+from .faults import FaultySocket
 from .frames import PROTOCOL_VERSION
 from .server import SocketTransport, TransportConfig
 
@@ -43,7 +45,7 @@ __all__ = [
     "ConnectionLost",
     "DeadlineExceeded",
     "DetectionClient",
-    "FaultInjector",
+    "FaultySocket",
     "FrameCorrupt",
     "PROTOCOL_VERSION",
     "ProtocolMismatch",
@@ -56,5 +58,4 @@ __all__ = [
     "SocketTransport",
     "TransportConfig",
     "TransportError",
-    "TransportFaultPlan",
 ]

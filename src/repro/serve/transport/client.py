@@ -13,10 +13,12 @@ handling a network boundary demands:
   ``deadline_ms`` header and bounds the server-side queue wait, so
   client and server always agree on how long the request may live.
 * **bounded retry with seeded jitter** — retryable failures (see
-  :mod:`repro.serve.transport.errors`) reconnect and retry under
-  exponential backoff; scoring is a pure function of the clips, so a
-  retried result is bit-identical to an uninterrupted one.  Backoff
-  jitter comes from a seeded generator (R001: reproducible runs).
+  :mod:`repro.serve.transport.errors`) reconnect and retry under the
+  shared :class:`~repro.engine.faults.RetryPolicy`; scoring is a pure
+  function of the clips, so a retried result is bit-identical to an
+  uninterrupted one.  Each backoff is scaled by jitter from a seeded
+  generator (R001: reproducible runs) and clamped to the remaining
+  deadline.
 * **circuit breaking** — ``breaker_threshold`` consecutive retryable
   failures open the circuit; calls then fail fast with
   :class:`CircuitOpenError` until ``breaker_cooldown_s`` elapses, after
@@ -38,6 +40,7 @@ import numpy as np
 
 from ...analysis.concurrency import TrackedLock, guarded_by
 from ...analysis.interleave import trace_point
+from ...engine.faults import RetryPolicy
 from ..server import ServeResult
 from . import frames
 from .errors import (
@@ -79,12 +82,8 @@ class ClientConfig:
     timeout_s: float = 30.0
     #: TCP connect deadline, seconds
     connect_timeout_s: float = 5.0
-    #: total attempts per call (1 = no retries)
-    retries: int = 5
-    #: first backoff sleep, seconds (doubles per attempt)
-    backoff_base_s: float = 0.05
-    #: backoff ceiling, seconds
-    backoff_max_s: float = 2.0
+    #: attempts per call and backoff between them (before jitter)
+    retry: RetryPolicy = RetryPolicy(5, 0.05, 2.0)
     #: idle sockets kept for reuse
     pool_size: int = 4
     #: consecutive retryable failures that open the circuit
@@ -106,10 +105,6 @@ class ClientConfig:
                 f"connect_timeout_s must be positive, got "
                 f"{self.connect_timeout_s}"
             )
-        if self.retries <= 0:
-            raise ValueError(f"retries must be positive, got {self.retries}")
-        if self.backoff_base_s < 0 or self.backoff_max_s < 0:
-            raise ValueError("backoff times must be >= 0")
         if self.pool_size <= 0:
             raise ValueError(
                 f"pool_size must be positive, got {self.pool_size}"
@@ -294,8 +289,9 @@ class DetectionClient:
         if budget <= 0:
             raise ValueError(f"timeout must be positive, got {timeout}")
         deadline = time.monotonic() + budget
+        attempts = cfg.retry.attempts
         last_error: Exception | None = None
-        for attempt in range(1, cfg.retries + 1):
+        for attempt in range(1, attempts + 1):
             remaining = deadline - time.monotonic()
             if remaining <= 0:
                 raise DeadlineExceeded(
@@ -310,14 +306,14 @@ class DetectionClient:
             # split the remaining budget over the attempts still
             # available, so a silently dropped frame costs one slice
             # of the deadline instead of all of it
-            attempts_left = cfg.retries - attempt + 1
+            attempts_left = attempts - attempt + 1
             slice_s = max(remaining / attempts_left, min(remaining, 0.05))
             try:
                 result = self._roundtrip(ftype, payload, parse, slice_s)
             except RetryableTransportError as exc:
                 self.breaker.record_failure(type(exc).__name__)
                 last_error = exc
-                if attempt >= cfg.retries:
+                if attempt >= attempts:
                     raise
                 self._backoff(attempt, deadline, exc)
                 continue
@@ -327,16 +323,13 @@ class DetectionClient:
             self.breaker.record_success()
             return result
         raise DeadlineExceeded(  # pragma: no cover - loop always exits
-            f"retries exhausted after {cfg.retries} attempts"
+            f"retries exhausted after {attempts} attempts"
         ) from last_error
 
     def _backoff(self, attempt: int, deadline: float, exc: Exception) -> None:
-        cfg = self.config
         with self._rng_lock:
             jitter = 0.5 + float(self._rng.random())
-        sleep_s = min(
-            cfg.backoff_base_s * 2.0 ** (attempt - 1), cfg.backoff_max_s
-        ) * jitter
+        sleep_s = self.config.retry.delay(attempt) * jitter
         sleep_s = min(sleep_s, max(0.0, deadline - time.monotonic()))
         if self.bus is not None:
             self.bus.emit(

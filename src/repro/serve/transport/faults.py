@@ -1,185 +1,39 @@
 """Deterministic fault injection for the socket transport.
 
-Chaos testing the transport needs the same property the litho
-:class:`~repro.litho.faults.FaultPlan` gives the retry layer: faults at
-*planned, reproducible* points rather than random ones, so a test can
-assert exactly which frame dies and exactly how the client recovers.
+Chaos testing the transport needs faults at *planned, reproducible*
+points rather than random ones, so a test can assert exactly which
+frame dies and exactly how the client recovers.  The plan is the shared
+:class:`~repro.engine.faults.FaultPlan`, indexed by global
+**frame-send index** (the transport writes each frame with a single
+``sendall``, so frame index == send call index on that side); its
+frame kinds — ``drop``, ``delay``, ``truncate``, ``garbage``,
+``disconnect`` — are described in :mod:`repro.engine.faults`.
 
-A :class:`TransportFaultPlan` maps global **frame-send indices** (the
-transport writes each frame with a single ``sendall``, so frame index
-== send call index on that side) onto one of five failure kinds:
-
-``drop``
-    swallow the frame silently — the peer waits and hits its read
-    deadline (:class:`~repro.serve.transport.ReadTimeout`).
-``delay``
-    sleep ``delay_s`` before sending — long enough to push the peer
-    past a short deadline, or to model a slow link.
-``truncate``
-    send only the first half of the frame, then close the connection —
-    the peer sees EOF mid-frame
-    (:class:`~repro.serve.transport.ConnectionLost`).
-``garbage``
-    flip seeded-deterministic bytes inside the frame — the CRC32 check
-    rejects it (:class:`~repro.serve.transport.FrameCorrupt`).
-``disconnect``
-    close the connection instead of sending anything
-    (:class:`~repro.serve.transport.ConnectionLost`).
-
-A :class:`FaultInjector` owns one plan plus the thread-safe frame
-counter, and wraps sockets via :meth:`FaultInjector.wrap` — pass it as
-``wrap_socket=`` to either :class:`~repro.serve.transport.DetectionClient`
-(faults on the request path) or
-:class:`~repro.serve.transport.SocketTransport` (faults on the response
-path).  The counter is shared across every wrapped socket, so the plan
-indexes one global frame sequence even across reconnects.
+:class:`FaultySocket` applies the plan to one socket, claiming frame
+indices from a :class:`~repro.engine.faults.FaultInjector`.  Pass
+``lambda sock: FaultySocket(sock, injector)`` as ``wrap_socket=`` to
+either :class:`~repro.serve.transport.DetectionClient` (faults on the
+request path) or :class:`~repro.serve.transport.SocketTransport`
+(faults on the response path).  One injector shared by every wrapped
+socket indexes one global frame sequence even across reconnects.
 """
 
 from __future__ import annotations
 
 import socket
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
-from ...analysis.concurrency import TrackedLock, guarded_by
+from ...engine.faults import FaultInjector
 
-__all__ = ["FAULT_KINDS", "FaultInjector", "FaultySocket", "TransportFaultPlan"]
-
-FAULT_KINDS = ("drop", "delay", "truncate", "garbage", "disconnect")
-
-
-@dataclass(frozen=True)
-class TransportFaultPlan:
-    """Deterministic schedule of transport faults by frame-send index."""
-
-    #: frame indices swallowed without sending
-    drops: frozenset[int] = frozenset()
-    #: frame indices delayed by ``delay_s`` before sending
-    delays: frozenset[int] = frozenset()
-    #: frame indices cut off halfway (then the connection is closed)
-    truncates: frozenset[int] = frozenset()
-    #: frame indices with seeded byte corruption (CRC32 will reject)
-    garbage: frozenset[int] = frozenset()
-    #: frame indices replaced by an abrupt connection close
-    disconnects: frozenset[int] = frozenset()
-    #: sleep applied to ``delays`` indices, in seconds
-    delay_s: float = 0.2
-    #: base seed of the garbage corruption (per-frame offset added)
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "drops", frozenset(self.drops))
-        object.__setattr__(self, "delays", frozenset(self.delays))
-        object.__setattr__(self, "truncates", frozenset(self.truncates))
-        object.__setattr__(self, "garbage", frozenset(self.garbage))
-        object.__setattr__(self, "disconnects", frozenset(self.disconnects))
-        if self.delay_s < 0:
-            raise ValueError(f"delay_s must be >= 0, got {self.delay_s}")
-        overlaps = (
-            (self.drops | self.truncates | self.disconnects)
-            & (self.delays | self.garbage)
-        )
-        ambiguous = (
-            (self.drops & self.truncates)
-            | (self.drops & self.disconnects)
-            | (self.truncates & self.disconnects)
-            | overlaps
-        )
-        if ambiguous:
-            raise ValueError(
-                f"frame indices {sorted(ambiguous)} appear under more "
-                "than one fault kind"
-            )
-
-    @classmethod
-    def none(cls) -> "TransportFaultPlan":
-        return cls()
-
-    @classmethod
-    def drop_at(cls, *indices: int) -> "TransportFaultPlan":
-        return cls(drops=frozenset(indices))
-
-    @classmethod
-    def delay_at(cls, *indices: int, delay_s: float = 0.2) -> "TransportFaultPlan":
-        return cls(delays=frozenset(indices), delay_s=delay_s)
-
-    @classmethod
-    def truncate_at(cls, *indices: int) -> "TransportFaultPlan":
-        return cls(truncates=frozenset(indices))
-
-    @classmethod
-    def garbage_at(cls, *indices: int, seed: int = 0) -> "TransportFaultPlan":
-        return cls(garbage=frozenset(indices), seed=seed)
-
-    @classmethod
-    def disconnect_at(cls, *indices: int) -> "TransportFaultPlan":
-        return cls(disconnects=frozenset(indices))
-
-    def kind_at(self, index: int) -> str | None:
-        """The fault kind scheduled for frame ``index`` (or ``None``)."""
-        if index in self.drops:
-            return "drop"
-        if index in self.delays:
-            return "delay"
-        if index in self.truncates:
-            return "truncate"
-        if index in self.garbage:
-            return "garbage"
-        if index in self.disconnects:
-            return "disconnect"
-        return None
-
-    @property
-    def n_faults(self) -> int:
-        return (
-            len(self.drops) + len(self.delays) + len(self.truncates)
-            + len(self.garbage) + len(self.disconnects)
-        )
-
-
-class FaultInjector:
-    """One plan + one global frame counter, shared across sockets.
-
-    Handler and client threads send concurrently, so the counter and
-    the per-kind tallies live under a tracked lock; the fault *action*
-    (sleeping, sending, closing) happens outside it.
-    """
-
-    _sent = guarded_by("_lock")
-    _tally = guarded_by("_lock")
-
-    def __init__(self, plan: TransportFaultPlan) -> None:
-        self.plan = plan
-        self._lock = TrackedLock("fault-injector")
-        with self._lock:
-            self._sent = 0  #: guarded_by: _lock
-            self._tally = dict.fromkeys(FAULT_KINDS, 0)  #: guarded_by: _lock
-
-    def next_fault(self) -> tuple[int, str | None]:
-        """Claim the next frame index and its scheduled fault kind."""
-        with self._lock:
-            index = self._sent
-            self._sent += 1
-            kind = self.plan.kind_at(index)
-            if kind is not None:
-                self._tally[kind] += 1
-        return index, kind
-
-    def counts(self) -> dict:
-        """Frames sent so far and faults injected, by kind."""
-        with self._lock:
-            return {"frames": self._sent, **self._tally}
-
-    def wrap(self, sock: socket.socket) -> "FaultySocket":
-        return FaultySocket(sock, self)
+__all__ = ["FaultySocket"]
 
 
 class FaultySocket:
     """Socket wrapper whose ``sendall`` applies the planned fault for
     each outgoing frame (the transport writes one frame per ``sendall``,
-    so the injector's frame counter lines up exactly)."""
+    so the injector's call counter lines up exactly)."""
 
     def __init__(self, sock: socket.socket, injector: FaultInjector) -> None:
         self._sock = sock
@@ -189,7 +43,7 @@ class FaultySocket:
         index, kind = self._injector.next_fault()
         if kind == "drop":
             return
-        if kind == "disconnect":
+        if kind in ("disconnect", "fail"):
             self._sock.close()
             raise OSError("fault injection: disconnect before send")
         if kind == "truncate":

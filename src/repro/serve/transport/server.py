@@ -121,8 +121,9 @@ class SocketTransport:
         connections trip its ``transport_overload`` sentinel.
     wrap_socket:
         Optional hook applied to every accepted connection — the chaos
-        suite passes :meth:`FaultInjector.wrap` here to fault the
-        response path.
+        suite wraps each one in a
+        :class:`~repro.serve.transport.faults.FaultySocket` here to
+        fault the response path.
     """
 
     _connections = guarded_by("_lock")

@@ -1,6 +1,6 @@
 """Chaos smoke test: a CLI run with injected transient litho faults and
 a tight litho budget must exit 0 with a degraded — not crashed —
-GuardReport.  CI runs this file as its own step."""
+GuardReport.  It runs in the full and strict test suites."""
 
 import pytest
 

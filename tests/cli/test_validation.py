@@ -42,6 +42,10 @@ class TestDetectValidation:
             ["--max-cache-bytes", "-5"],
             ["--stage-timeout", "0"],
             ["--stage-timeout", "-0.5"],
+            # grids the feature extractor rejects (DCT blocks, density
+            # cells, coefficient capacity) die before any labeling
+            ["--grid", "100"],
+            ["--grid", "36"],
         ],
     )
     def test_rejects_non_positive_values(self, flags, capsys):
@@ -105,6 +109,8 @@ class TestServeValidation:
             ["--read-timeout", "0"],
             ["--read-timeout", "-1.5"],
             ["--write-timeout", "0"],
+            ["--grid", "100"],
+            ["--grid", "36"],
         ],
     )
     def test_rejects_bad_values(self, flags, capsys):

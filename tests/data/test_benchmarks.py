@@ -82,11 +82,12 @@ class TestBuild:
 class TestCache:
     def test_roundtrip_preserves_arrays(self, cache_dir):
         fresh = build_benchmark("iccad16-2", scale=0.05, seed=2)
-        assert (cache_dir / "iccad16-2_s0.05_r2_g96.npz").exists()
+        assert (cache_dir / "iccad16-2_s0.05_r2_g96_f64.npz").exists()
         cached = build_benchmark("iccad16-2", scale=0.05, seed=2)
+        # bit-identical: a reload must never change what a run sees
         np.testing.assert_array_equal(cached.labels, fresh.labels)
-        np.testing.assert_allclose(cached.tensors, fresh.tensors, atol=1e-6)
-        np.testing.assert_allclose(cached.flats, fresh.flats, atol=1e-5)
+        np.testing.assert_array_equal(cached.tensors, fresh.tensors)
+        np.testing.assert_array_equal(cached.flats, fresh.flats)
         np.testing.assert_array_equal(
             cached.meta["hashes"], fresh.meta["hashes"]
         )

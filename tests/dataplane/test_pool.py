@@ -3,6 +3,8 @@
 import pytest
 
 from repro.dataplane import chunked, imap_chunks, map_chunks
+from repro.dataplane.pool import on_timeout
+from repro.engine.events import EventBus, EventLog
 
 
 def _total(chunk):
@@ -174,6 +176,25 @@ class TestWatchdog:
         assert results == [1, 5, 9, 13]
         assert fired == [1]  # chunk [2, 3] hit the deadline
         assert attempts[2] == 2  # hung once, then re-ran serially
+
+    def test_on_timeout_emits_one_guard_event_pair(self):
+        bus = EventBus()
+        log = bus.subscribe(EventLog())
+        on_timeout(bus, "label", 0.5)(3)
+        alert, recovery = log.events
+        assert alert.kind == "health_alert"
+        assert alert.payload == {
+            "sentinel": "pool_watchdog", "stage": "label",
+            "detail": "chunk 3 exceeded 0.5s deadline", "chunk": 3,
+        }
+        assert recovery.kind == "recovery_applied"
+        assert recovery.payload == {
+            "policy": "serial_fallback", "sentinel": "pool_watchdog",
+            "stage": "label", "chunk": 3,
+        }
+        # nothing to report without a bus or a deadline
+        assert on_timeout(None, "label", 0.5) is None
+        assert on_timeout(bus, "extract", None) is None
 
     def test_armed_watchdog_is_invisible_without_a_hang(self):
         items = list(range(20))

@@ -1,9 +1,14 @@
 """Shared fixtures of the serving tests: one trained corpus per
 session (training dominates wall time, so every transport module reuses
-it) and a strict-mode switch for the lock-sanitizer suites."""
+it), a strict-mode switch for the lock-sanitizer suites, and a shifted
+client clock so breaker cooldowns pass without sleeping."""
+
+import time
 
 import numpy as np
 import pytest
+
+import repro.serve.transport.client as client_module
 
 from repro.calibration.temperature import TemperatureScaler
 from repro.data.synth import EUV_RULES, generate_layout
@@ -13,6 +18,32 @@ from repro.layout import extract_clip_grid
 from repro.model.classifier import HotspotClassifier
 
 GRID = 96
+
+
+class ShiftedTime:
+    """Stands in for the ``time`` module the client reads:
+    ``monotonic()`` is the real clock plus an offset the test advances
+    instead of sleeping; everything else is the real module."""
+
+    def __init__(self) -> None:
+        self.offset = 0.0
+
+    def advance(self, seconds: float) -> None:
+        self.offset += seconds
+
+    def monotonic(self) -> float:
+        return time.monotonic() + self.offset
+
+    def __getattr__(self, name):
+        return getattr(time, name)
+
+
+@pytest.fixture()
+def shifted_clock(monkeypatch):
+    """The client module's clock, advanced by hand."""
+    clock = ShiftedTime()
+    monkeypatch.setattr(client_module, "time", clock)
+    return clock
 
 
 def make_plane(bus=None):

@@ -22,6 +22,7 @@ import pytest
 from repro.analysis.interleave import InterleaveScheduler
 from repro.analysis.modes import set_check_mode
 from repro.engine.events import EventBus, EventLog
+from repro.engine.faults import RetryPolicy
 from repro.engine.guard import GuardConfig, RunSupervisor
 from repro.serve import DetectionServer, ServeConfig
 from repro.serve.transport import (
@@ -197,7 +198,7 @@ def stack(trained):
 def _client(stack, **overrides):
     host, port = stack["address"]
     defaults = dict(host=host, port=port, timeout_s=60.0,
-                    backoff_base_s=0.01)
+                    retry=RetryPolicy(5, 0.01, 2.0))
     defaults.update(overrides)
     return DetectionClient(ClientConfig(**defaults), bus=stack["bus"])
 
@@ -249,8 +250,8 @@ class TestTransportIntegration:
             frames.write_frame(holder, frames.T_HEALTH, 1)
             frames.read_frame(holder)
             with DetectionClient(ClientConfig(
-                host=host, port=port, timeout_s=3.0, retries=2,
-                backoff_base_s=0.01,
+                host=host, port=port, timeout_s=3.0,
+                retry=RetryPolicy(2, 0.01, 2.0),
             )) as client:
                 with pytest.raises(RemoteOverloaded):
                     client.health()
@@ -280,8 +281,8 @@ class TestTransportIntegration:
         host, port = transport.address
         try:
             with DetectionClient(ClientConfig(
-                host=host, port=port, timeout_s=2.0, retries=2,
-                backoff_base_s=0.01,
+                host=host, port=port, timeout_s=2.0,
+                retry=RetryPolicy(2, 0.01, 2.0),
             )) as client:
                 with pytest.raises(RemoteTimeout):
                     client.submit(trained["pool"][:2], model="v1")
@@ -299,8 +300,8 @@ class TestTransportIntegration:
         server.close(drain=True)
         try:
             with DetectionClient(ClientConfig(
-                host=host, port=port, timeout_s=5.0, retries=3,
-                backoff_base_s=0.01,
+                host=host, port=port, timeout_s=5.0,
+                retry=RetryPolicy(3, 0.01, 2.0),
             )) as client:
                 with pytest.raises(RemoteClosed):
                     client.submit(trained["pool"][:2], model="v1")
@@ -348,8 +349,8 @@ class TestTransportIntegration:
         # post-drain connects are refused -> retryable ConnectionLost
         host, port = stack["address"]
         with DetectionClient(ClientConfig(
-            host=host, port=port, timeout_s=1.0, retries=2,
-            backoff_base_s=0.01,
+            host=host, port=port, timeout_s=1.0,
+            retry=RetryPolicy(2, 0.01, 2.0),
         )) as late:
             with pytest.raises((ConnectionLost, ReadTimeout)):
                 late.health()
@@ -403,18 +404,17 @@ class TestBreakerInterleaving:
         assert breaker.state() == "open"
         assert len(log.of_kind("serve_circuit_open")) == 1
 
-    def test_probe_success_closes_from_half_open(self):
+    def test_probe_success_closes_from_half_open(self, shifted_clock):
         bus = EventBus()
         log = EventLog()
         bus.subscribe(log)
-        breaker = CircuitBreaker(threshold=1, cooldown_s=0.01, bus=bus)
+        breaker = CircuitBreaker(threshold=1, cooldown_s=10.0, bus=bus)
         breaker.record_failure("ReadTimeout")
         assert breaker.state() == "open"
-        assert not breaker.allow() or True  # may flip after cooldown
-        deadline_spins = 0
-        while not breaker.allow():
-            deadline_spins += 1
-            assert deadline_spins < 10_000
+        assert not breaker.allow(), "refused before the cooldown"
+        assert breaker.state() == "open"
+        shifted_clock.advance(10.0)
+        assert breaker.allow(), "one probe allowed after the cooldown"
         assert breaker.state() == "half_open"
         breaker.record_success()
         assert breaker.state() == "closed"

@@ -18,18 +18,18 @@ import pytest
 
 from repro.analysis.modes import set_check_mode
 from repro.engine.events import EventBus, EventLog
+from repro.engine.faults import FaultInjector, FaultPlan, RetryPolicy
 from repro.engine.guard import GuardConfig, RunSupervisor
 from repro.serve import DetectionServer, ServeConfig
 from repro.serve.transport import (
     CircuitOpenError,
     ClientConfig,
     DetectionClient,
-    FaultInjector,
+    FaultySocket,
     ReadTimeout,
     RetryableTransportError,
     SocketTransport,
     TransportConfig,
-    TransportFaultPlan,
 )
 
 from .conftest import make_plane
@@ -104,22 +104,32 @@ def stack(trained):
     supervisor.detach()
 
 
-def _client(address, bus=None, wrap_socket=None, **overrides):
+def _client(address, bus=None, wrap_socket=None, attempts=4,
+            **overrides):
     host, port = address
-    defaults = dict(host=host, port=port, timeout_s=8.0, retries=4,
-                    backoff_base_s=0.01, backoff_max_s=0.05)
+    defaults = dict(host=host, port=port, timeout_s=8.0,
+                    retry=RetryPolicy(attempts, 0.01, 0.05))
     defaults.update(overrides)
     return DetectionClient(
         ClientConfig(**defaults), bus=bus, wrap_socket=wrap_socket
     )
 
 
+def faulty(injector):
+    """A ``wrap_socket`` hook applying ``injector``'s plan."""
+    return lambda sock: FaultySocket(sock, injector)
+
+
+def drop_at(*indices):
+    return FaultPlan(dict.fromkeys(indices, "drop"))
+
+
 PLANS = {
-    "drop": TransportFaultPlan.drop_at(0),
-    "delay": TransportFaultPlan.delay_at(0, delay_s=0.1),
-    "truncate": TransportFaultPlan.truncate_at(0),
-    "garbage": TransportFaultPlan.garbage_at(0),
-    "disconnect": TransportFaultPlan.disconnect_at(0),
+    "drop": drop_at(0),
+    "delay": FaultPlan({0: "delay"}, delay_s=0.1),
+    "truncate": FaultPlan({0: "truncate"}),
+    "garbage": FaultPlan({0: "garbage"}),
+    "disconnect": FaultPlan({0: "disconnect"}),
 }
 
 
@@ -133,7 +143,7 @@ class TestRequestPathFaults:
         transport = stack["make_transport"]()
         injector = FaultInjector(PLANS[kind])
         with _client(transport.address, bus=stack["bus"],
-                     wrap_socket=injector.wrap) as client:
+                     wrap_socket=faulty(injector)) as client:
             remote = run_with_watchdog(
                 lambda: client.submit(pool[:6], model="v1")
             )
@@ -147,9 +157,9 @@ class TestRequestPathFaults:
         # every attempt's request frame is swallowed: the call must end
         # in the *typed* retryable error, within the deadline bound
         transport = stack["make_transport"]()
-        injector = FaultInjector(TransportFaultPlan.drop_at(0, 1))
-        with _client(transport.address, timeout_s=2.0, retries=2,
-                     wrap_socket=injector.wrap) as client:
+        injector = FaultInjector(drop_at(0, 1))
+        with _client(transport.address, timeout_s=2.0, attempts=2,
+                     wrap_socket=faulty(injector)) as client:
             started = time.monotonic()
             with pytest.raises(ReadTimeout):
                 run_with_watchdog(
@@ -171,7 +181,7 @@ class TestResponsePathFaults:
         pool = trained["pool"]
         reference = stack["server"].submit(pool[:6], model="v1", timeout=60)
         injector = FaultInjector(PLANS[kind])
-        transport = stack["make_transport"](wrap_socket=injector.wrap)
+        transport = stack["make_transport"](wrap_socket=faulty(injector))
         with _client(transport.address, bus=stack["bus"]) as client:
             remote = run_with_watchdog(
                 lambda: client.submit(pool[:6], model="v1")
@@ -186,10 +196,10 @@ class TestResponsePathFaults:
         # both response frames arrive later than the client can wait:
         # the call must fail with the typed timeout, not hang
         injector = FaultInjector(
-            TransportFaultPlan.delay_at(0, 1, delay_s=3.0)
+            FaultPlan({0: "delay", 1: "delay"}, delay_s=3.0)
         )
-        transport = stack["make_transport"](wrap_socket=injector.wrap)
-        with _client(transport.address, timeout_s=1.0, retries=2) as client:
+        transport = stack["make_transport"](wrap_socket=faulty(injector))
+        with _client(transport.address, timeout_s=1.0, attempts=2) as client:
             with pytest.raises(ReadTimeout):
                 run_with_watchdog(
                     lambda: client.submit(trained["pool"][:2], model="v1")
@@ -197,19 +207,23 @@ class TestResponsePathFaults:
 
 
 class TestCircuitBreakerCycle:
-    def test_full_cycle_open_half_open_closed(self, stack, trained):
+    """The cooldown passes on the client's shifted clock, never by
+    sleeping — so a stalled machine cannot end it early either."""
+
+    def test_full_cycle_open_half_open_closed(self, stack, trained,
+                                              shifted_clock):
         """Two dropped calls trip the breaker (open event), the next
         call fails fast, and after the cooldown one clean probe closes
         it again — every transition observed through its typed event."""
         pool = trained["pool"]
         reference = stack["server"].submit(pool[:4], model="v1", timeout=60)
         transport = stack["make_transport"]()
-        injector = FaultInjector(TransportFaultPlan.drop_at(0, 1))
+        injector = FaultInjector(drop_at(0, 1))
         client = _client(
             transport.address, bus=stack["bus"],
-            wrap_socket=injector.wrap,
-            timeout_s=0.4, retries=1,  # one attempt per call
-            breaker_threshold=2, breaker_cooldown_s=0.2,
+            wrap_socket=faulty(injector),
+            timeout_s=0.4, attempts=1,  # one attempt per call
+            breaker_threshold=2, breaker_cooldown_s=60.0,
         )
         log = stack["log"]
         with client:
@@ -221,15 +235,15 @@ class TestCircuitBreakerCycle:
             assert client.breaker.state() == "open"
             assert len(log.of_kind("serve_circuit_open")) == 1
             # while open: fail fast, no socket I/O
-            frames_before = injector.counts()["frames"]
+            calls_before = injector.counts()["calls"]
             with pytest.raises(CircuitOpenError):
                 run_with_watchdog(
                     lambda: client.submit(pool[:4], model="v1")
                 )
-            assert injector.counts()["frames"] == frames_before
+            assert injector.counts()["calls"] == calls_before
             # past the cooldown: one half-open probe succeeds and
             # closes the circuit
-            time.sleep(0.25)
+            shifted_clock.advance(60.0)
             remote = run_with_watchdog(
                 lambda: client.submit(pool[:4], model="v1",
                                       timeout=30.0)
@@ -246,15 +260,15 @@ class TestCircuitBreakerCycle:
             "serve_circuit_closed",
         ]
 
-    def test_half_open_failure_reopens(self, stack, trained):
+    def test_half_open_failure_reopens(self, stack, trained, shifted_clock):
         # the half-open probe also dies -> straight back to open
         transport = stack["make_transport"]()
-        injector = FaultInjector(TransportFaultPlan.drop_at(0, 1))
+        injector = FaultInjector(drop_at(0, 1))
         client = _client(
             transport.address, bus=stack["bus"],
-            wrap_socket=injector.wrap,
-            timeout_s=0.4, retries=1,
-            breaker_threshold=1, breaker_cooldown_s=0.1,
+            wrap_socket=faulty(injector),
+            timeout_s=0.4, attempts=1,
+            breaker_threshold=1, breaker_cooldown_s=60.0,
         )
         with client:
             with pytest.raises(ReadTimeout):
@@ -262,7 +276,7 @@ class TestCircuitBreakerCycle:
                     lambda: client.submit(trained["pool"][:2], model="v1")
                 )
             assert client.breaker.state() == "open"
-            time.sleep(0.15)
+            shifted_clock.advance(60.0)
             with pytest.raises(RetryableTransportError):
                 run_with_watchdog(
                     lambda: client.submit(trained["pool"][:2], model="v1")

@@ -22,6 +22,7 @@ import pytest
 
 import repro
 from repro.data.synth import EUV_RULES, generate_layout
+from repro.engine.faults import RetryPolicy
 from repro.layout.glp import load_layout, save_layout
 from repro.serve.bootstrap import bootstrap_server
 from repro.serve.transport import ClientConfig, DetectionClient
@@ -105,8 +106,8 @@ def test_sigkill_restart_retries_bit_identical(corpus):
     daemon = _spawn_daemon(corpus["glp"], port)
     restarted = None
     client = DetectionClient(ClientConfig(
-        host="127.0.0.1", port=port, timeout_s=90.0, retries=8,
-        connect_timeout_s=2.0, backoff_base_s=0.1, backoff_max_s=0.5,
+        host="127.0.0.1", port=port, timeout_s=90.0,
+        retry=RetryPolicy(8, 0.1, 0.5), connect_timeout_s=2.0,
     ))
     try:
         first = client.submit(corpus["pool"], model="v1")
@@ -144,7 +145,8 @@ def test_sigterm_drains_and_reports(corpus):
     daemon = _spawn_daemon(corpus["glp"], port)
     try:
         with DetectionClient(ClientConfig(
-            host="127.0.0.1", port=port, timeout_s=60.0, retries=3,
+            host="127.0.0.1", port=port, timeout_s=60.0,
+            retry=RetryPolicy(3, 0.05, 2.0),
         )) as client:
             result = client.submit(corpus["pool"], model="v1")
             assert np.array_equal(
