@@ -22,6 +22,10 @@ REPRO_BENCH_QUICK=1 python -m pytest \
     benchmarks/bench_transport.py \
     -x -q
 
+echo "==> examples that call the litho API"
+python examples/detect_and_fix.py
+python examples/printability_analysis.py
+
 echo "==> reprolint"
 python -m repro.analysis.lint src tests
 

@@ -307,22 +307,24 @@ def _zipf_probabilities(n: int, exponent: float = 0.8) -> np.ndarray:
     return weights / weights.sum()
 
 
-def _pattern_fails(library: PatternLibrary, pattern_id: int) -> bool:
-    """Litho-simulate one library pattern in a canonical clip."""
+def _pattern_fails(library: PatternLibrary) -> np.ndarray:
+    """Litho-simulate every library pattern in a canonical clip."""
     from ..layout.clip import Clip
     from ..litho.simulator import LithoSimulator
 
     rules = library.rules
     margin = rules.core_margin
     window = Rect(0, 0, rules.clip_size, rules.clip_size)
-    clip = Clip(
-        window=window,
-        core=window.expanded(-margin),
-        rects=library.place(pattern_id, margin, margin),
-        index=pattern_id,
-    )
+    core = window.expanded(-margin)
     simulator = LithoSimulator.for_tech(rules.tech_nm, grid=96)
-    return simulator.is_hotspot(clip)
+    return np.array(
+        [
+            simulator.is_hotspot(
+                Clip(window, core, rects=library.place(i, margin, margin), index=i)
+            )
+            for i in range(len(library))
+        ]
+    )
 
 
 def _target_weights(
@@ -403,10 +405,9 @@ def generate_layout(
     )
     frequencies = _zipf_probabilities(len(library))
     if target_ratio is not None:
-        fails = np.array(
-            [_pattern_fails(library, i) for i in range(len(library))]
+        frequencies = _target_weights(
+            frequencies, _pattern_fails(library), target_ratio
         )
-        frequencies = _target_weights(frequencies, fails, target_ratio)
     assignments = rng.choice(len(library), size=n_tiles, p=frequencies)
 
     rects: list[Rect] = []

@@ -30,8 +30,10 @@ class Defect:
     """A single printability violation.
 
     ``kind`` is ``"pinch"``, ``"bridge"`` or ``"epe"``; ``row``/``col`` are
-    pixel coordinates in the clip raster; ``severity`` is in pixels of
-    placement error (or 0 area-threshold overflow units for pinch/bridge).
+    the pixel coordinates of the defect's rounded centre of mass in the
+    clip raster.  ``severity`` is, for an EPE defect, the largest edge
+    placement error over its pixels (in pixels, above the tolerance);
+    for a pinch or bridge, its area in pixels.
     """
 
     kind: str
@@ -65,17 +67,23 @@ def edge_placement_error(
     printed contour pixel.  Returns an array of shape ``target.shape``
     that is 0 away from target edges.
     """
-    target = target.astype(bool)
-    printed = printed.astype(bool)
-    target_edge = target ^ ndimage.binary_erosion(target)
-    printed_edge = printed ^ ndimage.binary_erosion(printed)
+    return _epe_field(_edge(target.astype(bool)), printed.astype(bool))
 
-    field = np.zeros(target.shape, dtype=np.float64)
+
+def _edge(mask: np.ndarray) -> np.ndarray:
+    """Contour pixels of a binary mask (the mask minus its erosion)."""
+    return mask ^ ndimage.binary_erosion(mask)
+
+
+def _epe_field(target_edge: np.ndarray, printed: np.ndarray) -> np.ndarray:
+    """:func:`edge_placement_error` given the target contour."""
+    field = np.zeros(target_edge.shape, dtype=np.float64)
     if not target_edge.any():
         return field
+    printed_edge = _edge(printed)
     if not printed_edge.any():
         # nothing printed at all: every target edge is maximally misplaced
-        field[target_edge] = float(max(target.shape))
+        field[target_edge] = float(max(target_edge.shape))
         return field
     distance = ndimage.distance_transform_edt(~printed_edge)
     field[target_edge] = distance[target_edge]
@@ -110,48 +118,83 @@ def find_defects(
         raise ValueError(
             f"shape mismatch: target {target.shape} vs printed {printed.shape}"
         )
-    row0, col0, row1, col1 = core
-    if not (0 <= row0 < row1 <= target.shape[0]) or not (
-        0 <= col0 < col1 <= target.shape[1]
-    ):
-        raise ValueError(f"core {core} outside image {target.shape}")
+    return _TargetChecks(target, core, morph_margin_px).defects(
+        printed, epe_tolerance_px, min_defect_px
+    )
 
-    target = target.astype(bool)
-    printed = printed.astype(bool)
-    core_mask = np.zeros(target.shape, dtype=bool)
-    core_mask[row0:row1, col0:col1] = True
 
-    defects: list[Defect] = []
+class _TargetChecks:
+    """The printed-independent half of :func:`find_defects` for one
+    target: its morphology, contour and core mask, computed once and
+    then checked against any number of printed images (one per process
+    corner)."""
 
-    # pinch: target interior that failed to print
-    pinch_region = _interior(target, morph_margin_px) & ~printed & core_mask
-    defects.extend(_component_defects(pinch_region, "pinch", min_defect_px))
+    def __init__(
+        self,
+        target: np.ndarray,
+        core: tuple[int, int, int, int],
+        morph_margin_px: int,
+    ) -> None:
+        row0, col0, row1, col1 = core
+        if not (0 <= row0 < row1 <= target.shape[0]) or not (
+            0 <= col0 < col1 <= target.shape[1]
+        ):
+            raise ValueError(f"core {core} outside image {target.shape}")
+        target = target.astype(bool)
+        self.core_mask = np.zeros(target.shape, dtype=bool)
+        self.core_mask[row0:row1, col0:col1] = True
+        # pinch: target interior that failed to print
+        self.pinch_zone = _interior(target, morph_margin_px) & self.core_mask
+        # bridge: printed resist well outside any target shape
+        self.bridge_zone = ~_exterior(target, morph_margin_px) & self.core_mask
+        self.edge = _edge(target)
 
-    # bridge: printed resist well outside any target shape
-    bridge_region = printed & ~_exterior(target, morph_margin_px) & core_mask
-    defects.extend(_component_defects(bridge_region, "bridge", min_defect_px))
-
-    # EPE: contour displacement beyond tolerance
-    epe_field = edge_placement_error(target, printed)
-    epe_region = (epe_field > epe_tolerance_px) & core_mask
-    for defect in _component_defects(epe_region, "epe", min_defect_px):
-        severity = float(epe_field[defect.row, defect.col])
-        defects.append(Defect("epe", defect.row, defect.col, severity))
-
-    return defects
+    def defects(
+        self,
+        printed: np.ndarray,
+        epe_tolerance_px: float,
+        min_defect_px: int,
+    ) -> list[Defect]:
+        """Defects of one printed image (see :func:`find_defects`)."""
+        printed = printed.astype(bool)
+        defects = _component_defects(
+            self.pinch_zone & ~printed, "pinch", min_defect_px
+        )
+        defects += _component_defects(
+            printed & self.bridge_zone, "bridge", min_defect_px
+        )
+        # EPE: contour displacement beyond tolerance
+        epe_field = _epe_field(self.edge, printed)
+        epe_region = (epe_field > epe_tolerance_px) & self.core_mask
+        defects += _component_defects(
+            epe_region, "epe", min_defect_px, epe_field
+        )
+        return defects
 
 
 def _component_defects(
-    region: np.ndarray, kind: str, min_defect_px: int
+    region: np.ndarray,
+    kind: str,
+    min_defect_px: int,
+    epe_field: np.ndarray | None = None,
 ) -> list[Defect]:
-    """One defect per connected component of ``region`` above size cutoff."""
+    """One defect per connected component of ``region`` of at least
+    ``min_defect_px`` pixels, at its rounded centre of mass.  The severity
+    is the component's area, or its largest ``epe_field`` value when one
+    is given."""
+    if not region.any():
+        return []
     labels, count = ndimage.label(region)
-    defects = []
-    if count == 0:
-        return defects
-    sizes = ndimage.sum_labels(region, labels, index=np.arange(1, count + 1))
-    centers = ndimage.center_of_mass(region, labels, np.arange(1, count + 1))
-    for size, (row, col) in zip(sizes, centers):
-        if size >= min_defect_px:
-            defects.append(Defect(kind, int(round(row)), int(round(col)), float(size)))
-    return defects
+    sizes = np.bincount(labels.ravel(), minlength=count + 1)
+    keep = np.flatnonzero(sizes[1:] >= min_defect_px) + 1
+    if keep.size == 0:
+        return []
+    centers = ndimage.center_of_mass(region, labels, keep)
+    if epe_field is None:
+        severities = sizes[keep]
+    else:
+        severities = ndimage.maximum(epe_field, labels, keep)
+    return [
+        Defect(kind, int(round(row)), int(round(col)), float(severity))
+        for severity, (row, col) in zip(severities, centers)
+    ]

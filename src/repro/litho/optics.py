@@ -19,6 +19,7 @@ This preserves the two behaviours active learning depends on:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -91,30 +92,70 @@ class OpticalModel:
         Amplitude = PSF * mask (FFT convolution, reflective padding to
         avoid dark halos at clip borders); intensity = dose * amplitude^2.
         """
-        if mask.ndim != 2:
-            raise ValueError(f"mask must be 2-D, got shape {mask.shape}")
         if dose <= 0:
             raise ValueError(f"dose must be positive, got {dose}")
-        kernel = self.psf_kernel(pixel_nm, defocus_nm)
-        pad = kernel.shape[0] // 2
-        padded = np.pad(mask.astype(np.float64), pad, mode="reflect")
-        amplitude = _fft_convolve_valid(padded, kernel)
-        return dose * amplitude**2
+        return dose * self.amplitude(mask, pixel_nm, defocus_nm) ** 2
+
+    def amplitude(
+        self, mask: np.ndarray, pixel_nm: float, defocus_nm: float = 0.0
+    ) -> np.ndarray:
+        """Filtered amplitude ``PSF * mask``: the dose-independent part of
+        :meth:`aerial_image`, so corners that differ only in dose can
+        share it."""
+        if mask.ndim != 2:
+            raise ValueError(f"mask must be 2-D, got shape {mask.shape}")
+        return _convolve_reflect(
+            mask, *_psf_spectrum(self, pixel_nm, defocus_nm, mask.shape)
+        )
 
 
-def _fft_convolve_valid(image: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """'Valid'-mode FFT convolution of a padded image with a kernel."""
-    out_h = image.shape[0] - kernel.shape[0] + 1
-    out_w = image.shape[1] - kernel.shape[1] + 1
+@lru_cache(maxsize=64)
+def _psf_spectrum(
+    model: OpticalModel,
+    pixel_nm: float,
+    defocus_nm: float,
+    mask_shape: tuple[int, ...],
+) -> tuple[tuple[int, ...], np.ndarray]:
+    """Memoized ``(kernel shape, read-only kernel spectrum)`` of the PSF
+    for a ``mask_shape`` mask: every clip of a labeling run is imaged
+    through the same few kernels."""
+    kernel = model.psf_kernel(pixel_nm, defocus_nm)
+    f_kernel = _kernel_spectrum(kernel, mask_shape)
+    f_kernel.flags.writeable = False
+    return kernel.shape, f_kernel
+
+
+def _kernel_spectrum(
+    kernel: np.ndarray, mask_shape: tuple[int, ...]
+) -> np.ndarray:
+    """The ``f_kernel`` :func:`_convolve_reflect` takes for ``kernel``:
+    its ``rfft2`` at the full convolution shape of the padded mask."""
+    pad = kernel.shape[0] // 2
     shape = (
-        image.shape[0] + kernel.shape[0] - 1,
-        image.shape[1] + kernel.shape[1] - 1,
+        mask_shape[0] + 2 * pad + kernel.shape[0] - 1,
+        mask_shape[1] + 2 * pad + kernel.shape[1] - 1,
+    )
+    return np.fft.rfft2(kernel, shape)
+
+
+def _convolve_reflect(
+    mask: np.ndarray, kernel_shape: tuple[int, ...], f_kernel: np.ndarray
+) -> np.ndarray:
+    """FFT convolution of ``mask`` with a kernel of ``kernel_shape`` whose
+    spectrum is ``f_kernel``, reflect-padded by the kernel radius (no
+    dark halos at clip borders) and cropped to the 'valid' part."""
+    pad = kernel_shape[0] // 2
+    image = np.pad(mask.astype(np.float64), pad, mode="reflect")
+    out_h = image.shape[0] - kernel_shape[0] + 1
+    out_w = image.shape[1] - kernel_shape[1] + 1
+    shape = (
+        image.shape[0] + kernel_shape[0] - 1,
+        image.shape[1] + kernel_shape[1] - 1,
     )
     f_image = np.fft.rfft2(image, shape)
-    f_kernel = np.fft.rfft2(kernel, shape)
     full = np.fft.irfft2(f_image * f_kernel, shape)
-    start_h = kernel.shape[0] - 1
-    start_w = kernel.shape[1] - 1
+    start_h = kernel_shape[0] - 1
+    start_w = kernel_shape[1] - 1
     return full[start_h : start_h + out_h, start_w : start_w + out_w]
 
 

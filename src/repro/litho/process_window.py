@@ -83,9 +83,10 @@ def analyze_process_window(
 ) -> ProcessWindow:
     """Sample the (dose, defocus) grid and record where ``clip`` prints.
 
-    Builds per-point single-corner simulators from the base simulator's
-    optics/resist/defect settings, so the pass criterion is identical to
-    the hotspot criterion at each grid point.
+    Simulates the clip once with the grid as its process corners and the
+    base simulator's optics/resist/defect settings, so the pass criterion
+    is identical to the hotspot criterion at each grid point, and the
+    clip is rasterized once and imaged once per defocus.
     """
     if dose_steps < 1 or defocus_steps < 1:
         raise ValueError("grid steps must be >= 1")
@@ -93,17 +94,24 @@ def analyze_process_window(
     defocuses = np.linspace(
         defocus_range_nm[0], defocus_range_nm[1], defocus_steps
     )
-    passes = np.zeros((dose_steps, defocus_steps), dtype=bool)
-    for i, dose in enumerate(doses):
-        for j, defocus in enumerate(defocuses):
-            point = LithoSimulator(
-                optical=simulator.optical,
-                resist=simulator.resist,
-                corners=(ProcessCorner(float(dose), float(defocus), "pw"),),
-                grid=simulator.grid,
-                epe_tolerance_px=simulator.epe_tolerance_px,
-                morph_margin_px=simulator.morph_margin_px,
-                min_defect_px=simulator.min_defect_px,
-            )
-            passes[i, j] = not point.is_hotspot(clip)
-    return ProcessWindow(doses=doses, defocus_nm=defocuses, passes=passes)
+    corners = [
+        ProcessCorner(float(dose), float(defocus), f"{i},{j}")
+        for i, dose in enumerate(doses)
+        for j, defocus in enumerate(defocuses)
+    ]
+    window = LithoSimulator(
+        optical=simulator.optical,
+        resist=simulator.resist,
+        corners=corners,
+        grid=simulator.grid,
+        epe_tolerance_px=simulator.epe_tolerance_px,
+        morph_margin_px=simulator.morph_margin_px,
+        min_defect_px=simulator.min_defect_px,
+    )
+    failing = set(window.simulate(clip).corner_names)
+    passes = np.array([corner.name not in failing for corner in corners])
+    return ProcessWindow(
+        doses=doses,
+        defocus_nm=defocuses,
+        passes=passes.reshape(dose_steps, defocus_steps),
+    )

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..layout.clip import Clip
-from .epe import Defect, find_defects
+from .epe import Defect, _TargetChecks
 from .optics import OpticalModel, duv_model, euv_model
 from .resist import ThresholdResist
 
@@ -114,27 +114,33 @@ class LithoSimulator:
         return row0, col0, row1, col1
 
     def simulate(self, clip: Clip) -> LithoResult:
-        """Run the full process window on one clip."""
+        """Run the full process window on one clip.
+
+        What depends only on the clip is computed once, not per corner:
+        the raster, the target-side defect checks, and one amplitude per
+        distinct defocus (corners differing only in dose share it).
+        """
         width_nm, _ = clip.size
         pixel_nm = width_nm / self.grid
         mask = clip.raster(self.grid, antialias=True)
-        target = mask >= 0.5
-        core = self._core_bounds_px(clip)
+        checks = _TargetChecks(
+            mask >= 0.5, self._core_bounds_px(clip), self.morph_margin_px
+        )
 
+        amplitudes: dict[float, np.ndarray] = {}
         all_defects: list[Defect] = []
         bad_corners: list[str] = []
         for corner in self.corners:
-            intensity = self.optical.aerial_image(
-                mask, pixel_nm, defocus_nm=corner.defocus_nm, dose=corner.dose
-            )
-            printed = self.resist.develop(intensity)
-            defects = find_defects(
-                target,
-                printed,
-                core,
-                epe_tolerance_px=self.epe_tolerance_px,
-                morph_margin_px=self.morph_margin_px,
-                min_defect_px=self.min_defect_px,
+            if corner.defocus_nm not in amplitudes:
+                amplitudes[corner.defocus_nm] = self.optical.amplitude(
+                    mask, pixel_nm, corner.defocus_nm
+                )
+            # OpticalModel.aerial_image's expression: bit-identical intensity
+            intensity = corner.dose * amplitudes[corner.defocus_nm] ** 2
+            defects = checks.defects(
+                self.resist.develop(intensity),
+                self.epe_tolerance_px,
+                self.min_defect_px,
             )
             if defects:
                 all_defects.extend(defects)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .optics import OpticalModel, _fft_convolve_valid
+from .optics import OpticalModel, _convolve_reflect, _kernel_spectrum
 
 __all__ = ["SOCSModel", "gauss_hermite_kernel"]
 
@@ -102,9 +102,9 @@ class SOCSModel:
         intensity = np.zeros_like(mask, dtype=np.float64)
         clear_field = 0.0
         for weight, kernel in zip(weights, kernels):
-            pad = kernel.shape[0] // 2
-            padded = np.pad(mask.astype(np.float64), pad, mode="reflect")
-            amplitude = _fft_convolve_valid(padded, kernel)
+            amplitude = _convolve_reflect(
+                mask, kernel.shape, _kernel_spectrum(kernel, mask.shape)
+            )
             intensity += weight * amplitude**2
             clear_field += weight * kernel.sum() ** 2
         if clear_field <= 0:

@@ -121,6 +121,32 @@ class TestFindDefects:
         with pytest.raises(ValueError, match="core"):
             find_defects(target, target, (0, 0, 9, 8))
 
+    def test_epe_severity_read_off_the_component(self):
+        """An L-shaped EPE component's centre of mass lies off the
+        component, where the EPE field is 0: the severity is the
+        component's largest EPE, not the field at its centroid."""
+        target = np.zeros((40, 40), dtype=bool)
+        target[10:30, 10:30] = True
+        printed = target.copy()
+        printed[10:14, 10:22] = False  # pulled back along the top edge
+        printed[10:22, 10:14] = False  # and along the left edge
+        field = edge_placement_error(target, printed)
+        defects = find_defects(target, printed, (2, 2, 38, 38))
+        [epe] = [d for d in defects if d.kind == "epe"]
+        assert field[epe.row, epe.col] == 0.0
+        assert epe.severity == field.max() == pytest.approx(np.hypot(4, 4))
+
+    def test_pinch_severity_is_area(self):
+        target = np.zeros((32, 32), dtype=bool)
+        target[8:24, 8:24] = True
+        printed = target.copy()
+        printed[14:17, 12:20] = False  # 3 x 8 hole well inside
+        [pinch] = [
+            d for d in find_defects(target, printed, self._core(target.shape))
+            if d.kind == "pinch"
+        ]
+        assert pinch.severity == 24.0
+
     def test_min_defect_px_filters_noise(self):
         target = np.zeros((32, 32), dtype=bool)
         target[8:24, 8:24] = True
@@ -270,6 +296,23 @@ class TestLithoLabeler:
         assert event.payload["cache_misses"] == 1  # other (deduped twice)
         assert event.payload["deduped"] == 1
         assert event.payload["simulated_seconds"] == 10.0
+
+    def test_label_batch_over_process_pool_matches_serial(self):
+        """Chunks are pickled to worker processes: the simulator and
+        ``_simulate_chunk`` must survive the trip with equal verdicts."""
+        clips = [  # lines 20..130 nm wide: the narrow ones fail
+            make_clip([Rect(100, 590 - 5 * i, 1100, 610 + 5 * i)], idx=i)
+            for i in range(12)
+        ]
+        serial = self._labeler()
+        pooled = self._labeler()
+        expected = serial.label_batch(clips, chunk_size=4)
+        labels = pooled.label_batch(
+            clips, chunk_size=4, workers=2, executor="process"
+        )
+        assert labels == expected
+        assert 0 < sum(expected) < len(clips)
+        assert pooled.query_count == serial.query_count == len(clips)
 
     def test_reset(self):
         labeler = self._labeler()

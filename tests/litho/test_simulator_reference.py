@@ -1,0 +1,282 @@
+"""The litho simulator against a frozen copy of its per-corner path.
+
+``LithoSimulator.simulate`` does each clip's corner-independent work once:
+the target-side morphology, one amplitude per distinct defocus, a
+memoized PSF spectrum, and no component statistics for empty regions.
+The reference below is the earlier implementation, which redid all of
+it at every corner: the PSF kernel and its FFT rebuilt per call, four
+binary-morphology calls per corner, and full ``label`` /
+``sum_labels`` / ``center_of_mass`` on every region.  Both must return
+exactly equal results.
+"""
+
+import numpy as np
+import pytest
+from scipy import ndimage
+
+from repro.data.synth import DUV_RULES, EUV_RULES, generate_layout
+from repro.layout import Clip, Rect
+from repro.layout.clip import extract_clip_grid
+from repro.litho import (
+    Defect,
+    LithoResult,
+    LithoSimulator,
+    ProcessCorner,
+    analyze_process_window,
+    edge_placement_error,
+    find_defects,
+)
+
+# ----------------------------------------------------------------------
+# reference: the per-corner path, frozen
+# ----------------------------------------------------------------------
+
+
+def _ref_aerial_image(optical, mask, pixel_nm, defocus_nm, dose):
+    kernel = optical.psf_kernel(pixel_nm, defocus_nm)
+    pad = kernel.shape[0] // 2
+    image = np.pad(mask.astype(np.float64), pad, mode="reflect")
+    out_h = image.shape[0] - kernel.shape[0] + 1
+    out_w = image.shape[1] - kernel.shape[1] + 1
+    shape = (
+        image.shape[0] + kernel.shape[0] - 1,
+        image.shape[1] + kernel.shape[1] - 1,
+    )
+    f_image = np.fft.rfft2(image, shape)
+    f_kernel = np.fft.rfft2(kernel, shape)
+    full = np.fft.irfft2(f_image * f_kernel, shape)
+    start_h = kernel.shape[0] - 1
+    start_w = kernel.shape[1] - 1
+    amplitude = full[start_h : start_h + out_h, start_w : start_w + out_w]
+    return dose * amplitude**2
+
+
+def _ref_interior(mask, margin_px):
+    if margin_px <= 0:
+        return mask
+    structure = np.ones((2 * margin_px + 1, 2 * margin_px + 1), dtype=bool)
+    return ndimage.binary_erosion(mask, structure=structure)
+
+
+def _ref_exterior(mask, margin_px):
+    if margin_px <= 0:
+        return mask
+    structure = np.ones((2 * margin_px + 1, 2 * margin_px + 1), dtype=bool)
+    return ndimage.binary_dilation(mask, structure=structure)
+
+
+def _ref_edge_placement_error(target, printed):
+    target = target.astype(bool)
+    printed = printed.astype(bool)
+    target_edge = target ^ ndimage.binary_erosion(target)
+    printed_edge = printed ^ ndimage.binary_erosion(printed)
+    field = np.zeros(target.shape, dtype=np.float64)
+    if not target_edge.any():
+        return field
+    if not printed_edge.any():
+        field[target_edge] = float(max(target.shape))
+        return field
+    distance = ndimage.distance_transform_edt(~printed_edge)
+    field[target_edge] = distance[target_edge]
+    return field
+
+
+def _ref_component_defects(region, kind, min_defect_px, epe_field=None):
+    labels, count = ndimage.label(region)
+    defects = []
+    if count == 0:
+        return defects
+    sizes = ndimage.sum_labels(region, labels, index=np.arange(1, count + 1))
+    centers = ndimage.center_of_mass(region, labels, np.arange(1, count + 1))
+    for label, size, (row, col) in zip(range(1, count + 1), sizes, centers):
+        if size >= min_defect_px:
+            # The EPE severity changed with the per-clip simulator: it was
+            # read at the rounded centre of mass, which for a thin or bent
+            # component often lies off it, where the EPE field is 0.  It
+            # is now the largest EPE over the component's own pixels.
+            if epe_field is not None:
+                size = epe_field[labels == label].max()
+            defects.append(
+                Defect(kind, int(round(row)), int(round(col)), float(size))
+            )
+    return defects
+
+
+def _ref_find_defects(
+    target, printed, core, epe_tolerance_px, morph_margin_px, min_defect_px
+):
+    row0, col0, row1, col1 = core
+    target = target.astype(bool)
+    printed = printed.astype(bool)
+    core_mask = np.zeros(target.shape, dtype=bool)
+    core_mask[row0:row1, col0:col1] = True
+    defects = []
+    pinch_region = _ref_interior(target, morph_margin_px) & ~printed & core_mask
+    defects.extend(_ref_component_defects(pinch_region, "pinch", min_defect_px))
+    bridge_region = printed & ~_ref_exterior(target, morph_margin_px) & core_mask
+    defects.extend(
+        _ref_component_defects(bridge_region, "bridge", min_defect_px)
+    )
+    epe_field = _ref_edge_placement_error(target, printed)
+    epe_region = (epe_field > epe_tolerance_px) & core_mask
+    defects.extend(
+        _ref_component_defects(epe_region, "epe", min_defect_px, epe_field)
+    )
+    return defects
+
+
+def _ref_core_bounds_px(grid, clip):
+    width_nm, height_nm = clip.size
+    core = clip.core_local()
+    row0 = int(np.floor(core.y0 / height_nm * grid))
+    row1 = int(np.ceil(core.y1 / height_nm * grid))
+    col0 = int(np.floor(core.x0 / width_nm * grid))
+    col1 = int(np.ceil(core.x1 / width_nm * grid))
+    return row0, col0, row1, col1
+
+
+def _ref_printed(sim, clip):
+    """``(target, core, [(corner, printed), ...])`` of the reference."""
+    width_nm, _ = clip.size
+    pixel_nm = width_nm / sim.grid
+    mask = clip.raster(sim.grid, antialias=True)
+    printed = [
+        (
+            corner,
+            sim.resist.develop(
+                _ref_aerial_image(
+                    sim.optical, mask, pixel_nm, corner.defocus_nm, corner.dose
+                )
+            ),
+        )
+        for corner in sim.corners
+    ]
+    return mask >= 0.5, _ref_core_bounds_px(sim.grid, clip), printed
+
+
+def _ref_simulate(sim, clip):
+    target, core, printed = _ref_printed(sim, clip)
+    all_defects, bad_corners = [], []
+    for corner, image in printed:
+        defects = _ref_find_defects(
+            target,
+            image,
+            core,
+            sim.epe_tolerance_px,
+            sim.morph_margin_px,
+            sim.min_defect_px,
+        )
+        if defects:
+            all_defects.extend(defects)
+            bad_corners.append(corner.name)
+    return LithoResult(
+        hotspot=bool(all_defects), defects=all_defects, corner_names=bad_corners
+    )
+
+
+# ----------------------------------------------------------------------
+# the sample: every distinct clip of two small seeded chips, plus an
+# empty clip
+# ----------------------------------------------------------------------
+
+
+def _distinct_clips(rules, seed, target_ratio):
+    layout = generate_layout(
+        rules, 5, 5, stress_probability=0.4, seed=seed,
+        target_ratio=target_ratio,
+    )
+    clips = extract_clip_grid(
+        layout, rules.clip_size, rules.core_margin, drop_empty=False
+    )
+    distinct = {clip.content_key(): clip for clip in clips}
+    window = Rect(0, 0, rules.clip_size, rules.clip_size)
+    empty = Clip(window, window.expanded(-rules.core_margin), rects=[])
+    return list(distinct.values()) + [empty]
+
+
+CHIPS = {
+    "duv": (28, DUV_RULES, 3, 0.3),
+    "euv": (7, EUV_RULES, 5, 0.3),
+}
+
+SIMULATORS = {
+    "default": {},
+    "custom": {
+        "morph_margin_px": 0,
+        "min_defect_px": 1,
+        "corners": (
+            ProcessCorner(1.0, 0.0, "focus"),
+            ProcessCorner(1.08, 40.0, "hot-blur"),
+            ProcessCorner(1.08, 0.0, "hot"),
+            ProcessCorner(0.92, 40.0, "cold-blur"),
+        ),
+    },
+}
+
+
+@pytest.fixture(scope="module", params=sorted(CHIPS))
+def chip(request):
+    tech_nm, rules, seed, ratio = CHIPS[request.param]
+    return tech_nm, _distinct_clips(rules, seed, ratio)
+
+
+@pytest.fixture(scope="module", params=sorted(SIMULATORS))
+def runs(request, chip):
+    """``(simulator, clips, results, reference results)``."""
+    tech_nm, clips = chip
+    sim = LithoSimulator.for_tech(tech_nm, grid=96, **SIMULATORS[request.param])
+    results = [sim.simulate(clip) for clip in clips]
+    return sim, clips, results, [_ref_simulate(sim, clip) for clip in clips]
+
+
+class TestAgainstReference:
+    def test_sample_covers_the_cases(self, runs):
+        _, clips, _, expected = runs
+        assert not clips[-1].rects  # the empty clip
+        assert any(len(r.corner_names) >= 2 for r in expected)
+        assert any(not r.hotspot for r in expected)
+
+    def test_simulate_equals_reference(self, runs):
+        _, clips, results, expected = runs
+        for clip, result, reference in zip(clips, results, expected):
+            assert result == reference, clip.content_key()
+
+    def test_find_defects_and_epe_equal_reference(self, runs):
+        sim, clips, _, _ = runs
+        settings = (sim.epe_tolerance_px, sim.morph_margin_px, sim.min_defect_px)
+        for clip in clips[::4]:
+            target, core, printed = _ref_printed(sim, clip)
+            for _, image in printed:
+                np.testing.assert_array_equal(
+                    edge_placement_error(target, image),
+                    _ref_edge_placement_error(target, image),
+                )
+                assert find_defects(
+                    target, image, core, *settings
+                ) == _ref_find_defects(target, image, core, *settings)
+
+    def test_epe_severity_exceeds_tolerance(self, runs):
+        sim, _, results, _ = runs
+        epe = [d for r in results for d in r.defects if d.kind == "epe"]
+        assert epe
+        assert all(d.severity > sim.epe_tolerance_px for d in epe)
+
+
+def test_process_window_equals_per_point_verdicts(chip):
+    tech_nm, clips = chip
+    sim = LithoSimulator.for_tech(tech_nm, grid=96)
+    verdicts = [sim.is_hotspot(clip) for clip in clips]
+    pair = [clips[verdicts.index(True)], clips[verdicts.index(False)]]
+    for clip in pair:
+        window = analyze_process_window(
+            sim, clip, dose_steps=4, defocus_steps=3
+        )
+        for i, dose in enumerate(window.doses):
+            for j, defocus in enumerate(window.defocus_nm):
+                point = LithoSimulator(
+                    optical=sim.optical,
+                    resist=sim.resist,
+                    corners=(ProcessCorner(float(dose), float(defocus)),),
+                    grid=sim.grid,
+                )
+                assert window.passes[i, j] == (not point.is_hotspot(clip))
