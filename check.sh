@@ -22,7 +22,11 @@ REPRO_BENCH_QUICK=1 python -m pytest \
     benchmarks/bench_transport.py \
     -x -q
 
-echo "==> examples that call the litho API"
+echo "==> all six examples (exit code only)"
+python examples/quickstart.py
+python examples/calibration_study.py
+python examples/custom_strategy.py
+python examples/full_chip_flow.py
 python examples/detect_and_fix.py
 python examples/printability_analysis.py
 

@@ -14,6 +14,9 @@ on their own layout:
 Run:  python examples/full_chip_flow.py
 """
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 
 from repro.calibration import TemperatureScaler
@@ -35,12 +38,13 @@ def main() -> None:
         EUV_RULES, tiles_x=16, tiles_y=16, stress_probability=0.3,
         seed=7, name="demo-chip", target_ratio=0.08,
     )
-    save_layout(layout, "/tmp/demo_chip.glp")
+    glp_path = Path(tempfile.gettempdir()) / "demo_chip.glp"
+    save_layout(layout, glp_path)
     clips = extract_clip_grid(
         layout, EUV_RULES.clip_size, EUV_RULES.core_margin, drop_empty=False
     )
     print(f"chip: {len(layout)} shapes, {len(clips)} clips "
-          f"(layout saved to /tmp/demo_chip.glp)")
+          f"(layout saved to {glp_path})")
 
     # --- 2. features + the metered lithography oracle ------------------
     # the data plane extracts tensors and flats from one raster pass per

@@ -22,7 +22,6 @@ from .harness import (
     run_method_instrumented,
     write_report,
 )
-from .store import ResultStore
 from .tables import TABLE2_METHODS, TABLE3_VARIANTS, table1, table2, table3
 
 __all__ = [
@@ -37,7 +36,6 @@ __all__ = [
     "run_method_averaged",
     "format_table",
     "write_report",
-    "ResultStore",
     "table1",
     "table2",
     "table3",

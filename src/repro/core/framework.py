@@ -156,12 +156,6 @@ class FrameworkConfig:
     #: feature-cache tiers) used by entry points that extract features
     #: or batch-label for this run (CLI detect, benchmark builds)
     dataplane: DataPlaneConfig = field(default_factory=DataPlaneConfig)
-    #: logits batch of the final detection sweep: ``0`` (default) scores
-    #: the whole remaining pool in one call — bit-identical to the
-    #: pre-streaming detect stage; ``> 0`` streams the pool through
-    #: ``InferenceSession.iter_logits`` in batches of this many clips
-    #: (bounded memory on huge pools, last-ulp BLAS variation possible)
-    detect_batch: int = 0
     #: write a crash-safe checkpoint to ``checkpoint_dir`` every this
     #: many completed iterations (0 = off); see repro.engine.checkpoint
     checkpoint_every: int = 0
@@ -192,10 +186,6 @@ class FrameworkConfig:
             raise ValueError("checkpoint_every must be >= 0")
         if self.checkpoint_every and not self.checkpoint_dir:
             raise ValueError("checkpoint_every requires checkpoint_dir")
-        if self.detect_batch < 0:
-            raise ValueError(
-                f"detect_batch must be >= 0, got {self.detect_batch}"
-            )
 
 
 class PSHDFramework:
@@ -562,18 +552,11 @@ class PSHDFramework:
             pool_arr = np.array(state.pool)
             self._calibrate(session, state)
             self.final_temperature_ = state.temperature
-            # consume the logits as a stream: with detect_batch == 0
-            # (default) this is one whole-pool batch, bit-identical to
-            # the monolithic call; > 0 bounds detect-stage memory
-            for rows, logits in session.iter_logits(
-                pool_arr, self.config.detect_batch
-            ):
-                predicted_hot = (
-                    state.temperature.transform(logits)[:, 1] > 0.5
-                )
-                actual = self.dataset.labels[rows].astype(bool)
-                hits += int(np.sum(predicted_hot & actual))
-                false_alarms += int(np.sum(predicted_hot & ~actual))
+            logits = session.logits(pool_arr)
+            predicted_hot = state.temperature.transform(logits)[:, 1] > 0.5
+            actual = self.dataset.labels[pool_arr].astype(bool)
+            hits = int(np.sum(predicted_hot & actual))
+            false_alarms = int(np.sum(predicted_hot & ~actual))
         self.bus.emit(
             "detection_done",
             scanned=len(state.pool),
@@ -791,11 +774,6 @@ class PSHDFramework:
         # still resume; a non-default mode must match on both sides
         if cfg.precision != "exact":
             fingerprint["precision"] = cfg.precision
-        # same rule for detect_batch: 0 (the bit-identical whole-pool
-        # sweep) stays out so older checkpoints resume; a batched
-        # detect must match because its logits may differ in the ulp
-        if cfg.detect_batch:
-            fingerprint["detect_batch"] = cfg.detect_batch
         return fingerprint
 
     def _capture_checkpoint(

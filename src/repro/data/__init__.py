@@ -4,8 +4,6 @@ benchmark builders."""
 
 from .benchmarks import BENCHMARKS, BenchmarkSpec, benchmark_names, build_benchmark
 from .dataset import ClipDataset, DatasetLabeler
-from .imbalance import class_ratio, oversample_minority
-from .splits import stratified_kfold, stratified_split
 from .synth import DUV_RULES, EUV_RULES, TechRules, generate_layout
 
 __all__ = [
@@ -19,8 +17,4 @@ __all__ = [
     "BENCHMARKS",
     "benchmark_names",
     "build_benchmark",
-    "stratified_split",
-    "stratified_kfold",
-    "class_ratio",
-    "oversample_minority",
 ]

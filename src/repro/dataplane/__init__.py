@@ -11,10 +11,10 @@ the AL framework's labelers and the bench harness:
 * :class:`FeatureCache` — content-addressed two-tier cache (in-memory
   LRU + on-disk ``.npz``) keyed by clip geometry hash and extractor
   parameters.
-* :func:`map_chunks` / :func:`imap_chunks` — the shared chunk runners
-  (serial default, thread or process pool; ``imap`` yields per-chunk
-  results lazily for partial-progress commits) also used by the batched
-  labelers in :mod:`repro.litho.labeler` and :mod:`repro.data.dataset`.
+* :func:`imap_chunks` — the shared chunk runner (serial default,
+  thread or process pool; yields per-chunk results lazily for
+  partial-progress commits) also used by the batched labelers in
+  :mod:`repro.litho.labeler` and :mod:`repro.data.dataset`.
 * :class:`DataPlaneConfig` — chunk size, worker count, executor flavour
   and cache-tier sizing in one value (also embedded in
   :class:`~repro.core.framework.FrameworkConfig`).
@@ -32,7 +32,7 @@ events with cache hit/miss counts on an optional
 from .cache import CacheStats, FeatureCache, feature_key
 from .config import EXECUTORS, DataPlaneConfig
 from .extract import BatchFeatureExtractor, FeatureBatch
-from .pool import chunked, imap_chunks, map_chunks
+from .pool import chunked, imap_chunks
 from .stream import (
     ScanReport,
     ShardScheduler,
@@ -53,7 +53,6 @@ __all__ = [
     "EXECUTORS",
     "chunked",
     "imap_chunks",
-    "map_chunks",
     "ScanReport",
     "ShardScheduler",
     "StreamConfig",

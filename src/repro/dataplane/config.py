@@ -49,7 +49,7 @@ class DataPlaneConfig:
     task_timeout:
         Watchdog deadline in seconds for each pooled chunk; a chunk
         that does not answer in time is cancelled and re-run serially
-        (see :func:`repro.dataplane.pool.map_chunks`).  ``None``
+        (see :func:`repro.dataplane.pool.imap_chunks`).  ``None``
         (default) disables the watchdog.
     precision:
         Feature-encoding precision: ``"exact"`` (default) keeps the

@@ -1,9 +1,9 @@
 """Chunked execution, optionally through a ``concurrent.futures`` pool.
 
 The data plane's unit of work is the *chunk*: a slice of clips processed
-by one vectorized kernel call.  :func:`map_chunks` dispatches chunks
+by one vectorized kernel call.  :func:`imap_chunks` dispatches chunks
 serially (``workers == 0``, the safe single-process default) or over a
-thread/process pool, always returning per-chunk results in input order.
+thread/process pool, always yielding per-chunk results in input order.
 The helpers are deliberately free of any dataplane imports so lower
 layers (``repro.litho``, ``repro.data``) can reuse them without cycles.
 
@@ -23,7 +23,7 @@ from typing import Callable, Iterator, Optional, Sequence, TypeVar
 
 from ..analysis.interleave import trace_point
 
-__all__ = ["chunked", "imap_chunks", "map_chunks", "on_timeout"]
+__all__ = ["chunked", "imap_chunks", "on_timeout"]
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -139,14 +139,18 @@ def imap_chunks(
     timeout: Optional[float] = None,
     on_timeout: Optional[Callable[[int], None]] = None,
 ) -> Iterator[R]:
-    """Lazy :func:`map_chunks`: an iterator of per-chunk results.
+    """Apply ``fn`` to every chunk of ``items``: an iterator of
+    per-chunk results, in input order.
 
-    Results arrive in input order as chunks complete, so callers can
-    commit partial progress (e.g. cache litho verdicts per chunk); when
-    ``fn`` raises for chunk ``N``, the exception surfaces after chunks
-    ``0..N-1`` were already yielded.  ``timeout`` (seconds per pooled
-    chunk) arms the watchdog; ``on_timeout`` receives the index of a
-    chunk that was cancelled at the deadline and re-run serially.
+    ``workers == 0`` (or a single chunk) runs in-process with no
+    executor; pool start-up failures fall back to the serial path, but
+    task exceptions propagate (see :func:`_iter_chunks`).  Results
+    arrive as chunks complete, so callers can commit partial progress
+    (e.g. cache litho verdicts per chunk); when ``fn`` raises for chunk
+    ``N``, the exception surfaces after chunks ``0..N-1`` were already
+    yielded.  ``timeout`` (seconds per pooled chunk) arms the watchdog;
+    ``on_timeout`` receives the index of a chunk that was cancelled at
+    the deadline and re-run serially.
     """
     if timeout is not None and timeout <= 0:
         raise ValueError(f"timeout must be positive or None, got {timeout}")
@@ -155,27 +159,3 @@ def imap_chunks(
         if executor not in ("thread", "process"):
             raise ValueError(f"unknown executor {executor!r}")
     return _iter_chunks(fn, parts, workers, executor, timeout, on_timeout)
-
-
-def map_chunks(
-    fn: Callable[[list[T]], R],
-    items: Sequence[T],
-    chunk_size: int,
-    workers: int = 0,
-    executor: str = "thread",
-    timeout: Optional[float] = None,
-    on_timeout: Optional[Callable[[int], None]] = None,
-) -> list[R]:
-    """Apply ``fn`` to every chunk of ``items``, in input order.
-
-    ``workers == 0`` (or a single chunk) runs in-process with no
-    executor.  Pool start-up failures fall back to the serial path —
-    the data plane must never be less available than the eager loop it
-    replaced — but task exceptions propagate (see :func:`_iter_chunks`).
-    ``timeout``/``on_timeout`` arm the hung-worker watchdog.
-    """
-    return list(
-        imap_chunks(
-            fn, items, chunk_size, workers, executor, timeout, on_timeout
-        )
-    )

@@ -322,6 +322,85 @@ class HistoryRecorder:
         )
 
 
+#: the line :class:`ProgressPrinter` prints per event kind, formatted
+#: with the event payload plus the fields ``_DERIVED`` adds; a kind not
+#: listed here (``batch_selected``) prints nothing
+_PROGRESS_LINES = {
+    "run_start": "[{method}] seeded: {n_train} train + {n_val} val "
+                 "labeled, pool {pool_size} ({seed_seconds:.1f}s)",
+    "iteration_start": "iteration {iteration}: pool {pool_size}, "
+                       "litho-clips so far {litho_used}",
+    "model_updated": "  labeled {batch_hotspots} hotspots in batch, "
+                     "train {train_size} ({hotspots_in_train} HS), "
+                     "T={temperature:.3f}",
+    "detection_done": "detection: {hits} hits, {false_alarms} false "
+                      "alarms over {scanned} scanned clips",
+    "checkpoint_saved": "  checkpoint: iteration {iteration} -> {path} "
+                        "({checkpoint_seconds:.2f}s)",
+    "run_resumed": "resumed after iteration {iteration} from {path}: "
+                   "pool {pool_size}, litho-clips so far {litho_used}",
+    "simulation_retry": "  litho retry: chunk {chunk} needed {retries} "
+                        "retries ({n_clips} clips)",
+    "features_extracted": "features: {n_clips} clips ({cache_hits} "
+                          "cached, {cache_misses} encoded, "
+                          "{extract_seconds:.2f}s)",
+    "labels_computed": "labels: {n_clips} clips ({cache_hits} cached, "
+                       "{cache_misses} simulated)",
+    "cache_corrupt": "  cache: quarantined corrupt entry {key}",
+    "cache_evicted": "  cache: evicted {key} ({bytes} B; tier at "
+                     "{disk_bytes}/{max_disk_bytes} B)",
+    "cache_tmp_failed": "  cache: could not remove temp file {path} "
+                        "({error})",
+    "request_received": "  serve: request for {n_clips} clips "
+                        "(model {model}, queue {queue_depth})",
+    "batch_dispatched": "  serve: dispatched {n_clips} clips "
+                        "(model {model}, {queue_depth} queued behind)",
+    "request_completed": "  serve: {n_hotspots} hotspots in {n_clips} "
+                         "clips ({serve_ms:.1f} ms)",
+    "transport_listening": "serve: listening on {host}:{port} "
+                           "(max {max_connections} connections)",
+    "transport_conn_rejected": "  ! serve: shed connection from {peer} "
+                               "({detail})",
+    "transport_retry": "  serve: retry #{attempt} after {error} "
+                       "(backoff {sleep_ms:.0f} ms)",
+    "transport_drain": "serve: draining {n_connections} connection(s)",
+    "serve_circuit_open": "  ! serve: circuit OPEN after {failures} "
+                          "failures ({error})",
+    "serve_circuit_half_open": "  serve: circuit half-open after "
+                               "{waited_s:.2f}s cool-down",
+    "serve_circuit_closed": "  serve: circuit closed (recovered from "
+                            "{recovered_from})",
+    "scan_started": "scan {layout}: {n_tiles} tiles ({n_windows} windows, "
+                    "{shards} shards{incremental_note})",
+    "tile_scanned": "  tile {tile} [{tiles_done}/{n_tiles}]: {n_clips} "
+                    "clips, {n_hotspots} hotspots{replayed_note}",
+    "scan_completed": "scan done: {n_hotspots} hotspots in {n_clips} "
+                      "clips over {n_tiles} tiles ({replayed_tiles} "
+                      "replayed, {rescored_tiles} scored, "
+                      "{scan_seconds:.1f}s)",
+    "health_alert": "  ! health: {sentinel} at {stage} — {detail}",
+    "recovery_applied": "  > recovery: {policy} (sentinel {sentinel}, "
+                        "stage {stage})",
+    "degraded_mode": "  * degraded mode: {mode} (stage {stage})",
+    "guard_report": "guard: {final_mode} — {n_alerts} alerts, "
+                    "{n_recoveries} recoveries",
+}
+
+#: the fields a progress line shows that are derived from the payload
+#: rather than read from it
+_DERIVED = {
+    "request_completed": lambda p: {"serve_ms": p["serve_seconds"] * 1e3},
+    "transport_retry": lambda p: {"sleep_ms": p["sleep_s"] * 1e3},
+    "scan_started": lambda p: {
+        "incremental_note": ", incremental" if p["incremental"] else "",
+    },
+    "tile_scanned": lambda p: {
+        "replayed_note": " (replayed)" if p["replayed"] else "",
+    },
+    "health_alert": lambda p: {"detail": p.get("detail", "")},
+}
+
+
 class ProgressPrinter:
     """Subscriber printing one human-readable line per stage (CLI)."""
 
@@ -329,178 +408,11 @@ class ProgressPrinter:
         self.stream = stream if stream is not None else sys.stdout
 
     def __call__(self, event: Event) -> None:
-        payload = event.payload
-        if event.kind == "run_start":
-            line = (
-                f"[{payload['method']}] seeded: {payload['n_train']} train "
-                f"+ {payload['n_val']} val labeled, "
-                f"pool {payload['pool_size']} "
-                f"({payload['seed_seconds']:.1f}s)"
-            )
-        elif event.kind == "iteration_start":
-            line = (
-                f"iteration {payload['iteration']}: "
-                f"pool {payload['pool_size']}, "
-                f"litho-clips so far {payload['litho_used']}"
-            )
-        elif event.kind == "model_updated":
-            line = (
-                f"  labeled {payload['batch_hotspots']} hotspots in batch, "
-                f"train {payload['train_size']} "
-                f"({payload['hotspots_in_train']} HS), "
-                f"T={payload['temperature']:.3f}"
-            )
-        elif event.kind == "detection_done":
-            line = (
-                f"detection: {payload['hits']} hits, "
-                f"{payload['false_alarms']} false alarms over "
-                f"{payload['scanned']} scanned clips"
-            )
-        elif event.kind == "checkpoint_saved":
-            line = (
-                f"  checkpoint: iteration {payload['iteration']} -> "
-                f"{payload['path']} "
-                f"({payload['checkpoint_seconds']:.2f}s)"
-            )
-        elif event.kind == "run_resumed":
-            line = (
-                f"resumed after iteration {payload['iteration']} from "
-                f"{payload['path']}: pool {payload['pool_size']}, "
-                f"litho-clips so far {payload['litho_used']}"
-            )
-        elif event.kind == "simulation_retry":
-            line = (
-                f"  litho retry: chunk {payload['chunk']} needed "
-                f"{payload['retries']} retries "
-                f"({payload['n_clips']} clips)"
-            )
-        elif event.kind == "features_extracted":
-            line = (
-                f"features: {payload['n_clips']} clips "
-                f"({payload['cache_hits']} cached, "
-                f"{payload['cache_misses']} encoded, "
-                f"{payload['extract_seconds']:.2f}s)"
-            )
-        elif event.kind == "labels_computed":
-            line = (
-                f"labels: {payload['n_clips']} clips "
-                f"({payload['cache_hits']} cached, "
-                f"{payload['cache_misses']} simulated)"
-            )
-        elif event.kind == "cache_corrupt":
-            line = (
-                f"  cache: quarantined corrupt entry {payload['key']}"
-            )
-        elif event.kind == "cache_evicted":
-            line = (
-                f"  cache: evicted {payload['key']} "
-                f"({payload['bytes']} B; tier at "
-                f"{payload['disk_bytes']}/{payload['max_disk_bytes']} B)"
-            )
-        elif event.kind == "cache_tmp_failed":
-            line = (
-                f"  cache: could not remove temp file "
-                f"{payload['path']} ({payload['error']})"
-            )
-        elif event.kind == "request_received":
-            line = (
-                f"  serve: request for {payload['n_clips']} clips "
-                f"(model {payload['model']}, "
-                f"queue {payload['queue_depth']})"
-            )
-        elif event.kind == "batch_dispatched":
-            line = (
-                f"  serve: dispatched {payload['n_clips']} clips "
-                f"(model {payload['model']}, "
-                f"{payload['queue_depth']} queued behind)"
-            )
-        elif event.kind == "request_completed":
-            line = (
-                f"  serve: {payload['n_hotspots']} hotspots in "
-                f"{payload['n_clips']} clips "
-                f"({payload['serve_seconds'] * 1e3:.1f} ms)"
-            )
-        elif event.kind == "transport_listening":
-            line = (
-                f"serve: listening on {payload['host']}:{payload['port']} "
-                f"(max {payload['max_connections']} connections)"
-            )
-        elif event.kind == "transport_conn_rejected":
-            line = (
-                f"  ! serve: shed connection from {payload['peer']} "
-                f"({payload['detail']})"
-            )
-        elif event.kind == "transport_retry":
-            line = (
-                f"  serve: retry #{payload['attempt']} after "
-                f"{payload['error']} (backoff "
-                f"{payload['sleep_s'] * 1e3:.0f} ms)"
-            )
-        elif event.kind == "transport_drain":
-            line = (
-                f"serve: draining {payload['n_connections']} "
-                f"connection(s)"
-            )
-        elif event.kind == "serve_circuit_open":
-            line = (
-                f"  ! serve: circuit OPEN after {payload['failures']} "
-                f"failures ({payload['error']})"
-            )
-        elif event.kind == "serve_circuit_half_open":
-            line = (
-                f"  serve: circuit half-open after "
-                f"{payload['waited_s']:.2f}s cool-down"
-            )
-        elif event.kind == "serve_circuit_closed":
-            line = (
-                f"  serve: circuit closed (recovered from "
-                f"{payload['recovered_from']})"
-            )
-        elif event.kind == "scan_started":
-            line = (
-                f"scan {payload['layout']}: {payload['n_tiles']} tiles "
-                f"({payload['n_windows']} windows, "
-                f"{payload['shards']} shards"
-                f"{', incremental' if payload['incremental'] else ''})"
-            )
-        elif event.kind == "tile_scanned":
-            line = (
-                f"  tile {payload['tile']} "
-                f"[{payload['tiles_done']}/{payload['n_tiles']}]: "
-                f"{payload['n_clips']} clips, "
-                f"{payload['n_hotspots']} hotspots"
-                f"{' (replayed)' if payload['replayed'] else ''}"
-            )
-        elif event.kind == "scan_completed":
-            line = (
-                f"scan done: {payload['n_hotspots']} hotspots in "
-                f"{payload['n_clips']} clips over {payload['n_tiles']} "
-                f"tiles ({payload['replayed_tiles']} replayed, "
-                f"{payload['rescored_tiles']} scored, "
-                f"{payload['scan_seconds']:.1f}s)"
-            )
-        elif event.kind == "health_alert":
-            line = (
-                f"  ! health: {payload['sentinel']} at "
-                f"{payload['stage']} — {payload.get('detail', '')}"
-            )
-        elif event.kind == "recovery_applied":
-            line = (
-                f"  > recovery: {payload['policy']} "
-                f"(sentinel {payload['sentinel']}, "
-                f"stage {payload['stage']})"
-            )
-        elif event.kind == "degraded_mode":
-            line = (
-                f"  * degraded mode: {payload['mode']} "
-                f"(stage {payload['stage']})"
-            )
-        elif event.kind == "guard_report":
-            line = (
-                f"guard: {payload['final_mode']} — "
-                f"{payload['n_alerts']} alerts, "
-                f"{payload['n_recoveries']} recoveries"
-            )
-        else:
+        template = _PROGRESS_LINES.get(event.kind)
+        if template is None:
             return
-        print(line, file=self.stream)
+        fields = dict(event.payload)
+        derive = _DERIVED.get(event.kind)
+        if derive is not None:
+            fields.update(derive(event.payload))
+        print(template.format(**fields), file=self.stream)

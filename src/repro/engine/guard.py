@@ -63,6 +63,7 @@ from typing import Callable
 import numpy as np
 
 from ..analysis.concurrency import TrackedLock
+from ..model.classifier import HotspotClassifier
 from ..stats.gmm import FitError
 from .events import Event, EventBus
 
@@ -330,7 +331,7 @@ class RunSupervisor:
     # ------------------------------------------------------------------
     def guarded_training(
         self,
-        classifier,
+        classifier: HotspotClassifier,
         train_fn: Callable[[], list],
         stage: str,
         iteration: int | None = None,
@@ -345,10 +346,6 @@ class RunSupervisor:
         ``max_train_retries``, after which the model is frozen at the
         snapshot and the run degrades.
         """
-        if not self._supports_snapshot(classifier):
-            # classifiers without the snapshot surface (e.g. committee
-            # ensembles) train unsupervised — rollback needs a snapshot
-            return train_fn()
         cfg = self.config
         snapshot = self._snapshot_model(classifier)
         trace = train_fn()
@@ -388,20 +385,6 @@ class RunSupervisor:
             detail=problem,
         )
         return trace
-
-    @staticmethod
-    def _supports_snapshot(classifier) -> bool:
-        """Whether ``classifier`` exposes the rollback surface the
-        divergence policy needs (weights, optimizer state, shuffle RNG,
-        learning rate)."""
-        return all(
-            hasattr(classifier, name)
-            for name in (
-                "network", "optimizer_state_arrays",
-                "restore_optimizer_state", "shuffle_rng_state",
-                "set_shuffle_rng_state", "learning_rate",
-            )
-        )
 
     @staticmethod
     def _snapshot_model(classifier) -> dict:

@@ -64,18 +64,14 @@ class InferenceSession:
     # ------------------------------------------------------------------
     # scaled-tensor cache
     # ------------------------------------------------------------------
-    def _policy(self):
-        # duck-typed classifiers (e.g. CommitteeClassifier) may not
-        # carry a precision policy; they get the exact float64 path
-        return getattr(self.classifier, "policy", None)
-
     def _cache_key(self) -> tuple[int, str]:
         """Identity of the cached scaled pool: scaler fit *and* compute
         dtype — a precision swap on the classifier must refresh the
         cache, not serve a stale-dtype tensor."""
-        policy = self._policy()
-        dtype = "float64" if policy is None else str(policy.compute_dtype)
-        return (self.classifier.scaler_version, dtype)
+        return (
+            self.classifier.scaler_version,
+            str(self.classifier.policy.compute_dtype),
+        )
 
     @property
     def scaled(self) -> np.ndarray:
@@ -89,7 +85,7 @@ class InferenceSession:
             if self._scaled is None or self._scaled_key != key:
                 trace_point("session.scaled.stale")
                 self._scaled = self.classifier.scaler.transform(
-                    self.tensors, policy=self._policy()
+                    self.tensors, policy=self.classifier.policy
                 )
                 self._scaled_key = key
             return self._scaled
@@ -120,35 +116,6 @@ class InferenceSession:
             self._slice(indices), prescaled=True
         )
 
-    def iter_logits(
-        self,
-        indices: np.ndarray | None = None,
-        batch: int | None = None,
-    ):
-        """Stream ``(row_indices, logits)`` pairs in bounded batches.
-
-        The detection stage consumes this instead of one monolithic
-        :meth:`logits` call so full-pool scans hold at most ``batch``
-        rows of logits at a time.  ``batch`` of ``None`` or ``0`` yields
-        everything in a single batch — that path is **bit-identical**
-        to :meth:`logits` (batched BLAS sweeps may differ in the last
-        ulp between blockings, so the one-batch default keeps
-        resumed/guarded runs exactly reproducible).
-        """
-        rows = (
-            np.arange(len(self.tensors))
-            if indices is None
-            else np.asarray(indices)
-        )
-        if not batch:
-            yield rows, self.logits(rows)
-            return
-        if batch < 0:
-            raise ValueError(f"batch must be >= 0, got {batch}")
-        for start in range(0, len(rows), batch):
-            part = rows[start : start + batch]
-            yield part, self.logits(part)
-
     def predict_full(
         self, indices: np.ndarray | None = None, normalize: bool = True
     ) -> FullPrediction:
@@ -177,7 +144,8 @@ class InferenceSession:
         scales the same whatever batch it arrives in.
         """
         return self.classifier.scaler.transform(
-            np.asarray(tensors, dtype=np.float64), policy=self._policy()
+            np.asarray(tensors, dtype=np.float64),
+            policy=self.classifier.policy,
         )
 
     def predict_tensors(

@@ -9,12 +9,6 @@ from .layout import Layout
 from .polygon import RectilinearPolygon
 from .raster import rasterize, rasterize_binary
 from .tiles import Tile, TileGrid
-from .transforms import (
-    ORIENTATIONS,
-    transform_clip,
-    transform_rect,
-    transform_rects,
-)
 
 __all__ = [
     "Rect",
@@ -34,8 +28,4 @@ __all__ = [
     "load_layout",
     "save_gds",
     "load_gds",
-    "ORIENTATIONS",
-    "transform_rect",
-    "transform_rects",
-    "transform_clip",
 ]

@@ -3,7 +3,6 @@ and the trainable classifier with embedding access."""
 
 from .classifier import FullPrediction, HotspotClassifier
 from .cnn import EMBEDDING_DIM, build_hotspot_cnn, build_hotspot_mlp
-from .committee import CommitteeClassifier
 from .evaluation import (
     ConfusionMatrix,
     auc,
@@ -17,7 +16,6 @@ from .scaler import TensorScaler
 __all__ = [
     "HotspotClassifier",
     "FullPrediction",
-    "CommitteeClassifier",
     "build_hotspot_cnn",
     "build_hotspot_mlp",
     "EMBEDDING_DIM",

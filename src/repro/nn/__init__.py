@@ -35,7 +35,6 @@ from .runtime import (
     set_runtime,
     using_runtime,
 )
-from .schedulers import CosineAnnealing, LinearWarmup, Scheduler, StepDecay
 
 __all__ = [
     "im2col",
@@ -63,10 +62,6 @@ __all__ = [
     "SGD",
     "Momentum",
     "Adam",
-    "Scheduler",
-    "StepDecay",
-    "CosineAnnealing",
-    "LinearWarmup",
     "PRECISION_MODES",
     "PrecisionPolicy",
     "WorkspaceArena",

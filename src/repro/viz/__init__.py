@@ -1,13 +1,9 @@
-"""Dependency-free visualization: SVG layout/clip/detection rendering
-and Netpbm raster export for aerial images."""
+"""Dependency-free SVG rendering of layouts, clips and detections."""
 
-from .images import save_intensity_ppm, save_pgm
 from .svg import render_clip_svg, render_detection_svg, render_layout_svg
 
 __all__ = [
     "render_layout_svg",
     "render_clip_svg",
     "render_detection_svg",
-    "save_pgm",
-    "save_intensity_ppm",
 ]

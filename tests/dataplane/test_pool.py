@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.dataplane import chunked, imap_chunks, map_chunks
+from repro.dataplane import chunked, imap_chunks
 from repro.dataplane.pool import on_timeout
 from repro.engine.events import EventBus, EventLog
 
@@ -29,35 +29,39 @@ class TestChunked:
 class TestMapChunks:
     def test_serial_matches_manual(self):
         items = list(range(10))
-        assert map_chunks(_total, items, chunk_size=3) == [3, 12, 21, 9]
+        assert list(imap_chunks(_total, items, chunk_size=3)) == [
+            3, 12, 21, 9
+        ]
 
     def test_threaded_matches_serial_in_order(self):
         items = list(range(20))
-        serial = map_chunks(_total, items, chunk_size=4, workers=0)
-        pooled = map_chunks(
+        serial = list(imap_chunks(_total, items, chunk_size=4, workers=0))
+        pooled = list(imap_chunks(
             _total, items, chunk_size=4, workers=3, executor="thread"
-        )
+        ))
         assert pooled == serial
 
     def test_process_pool_matches_serial_in_order(self):
         items = list(range(20))
-        serial = map_chunks(_total, items, chunk_size=4, workers=0)
-        pooled = map_chunks(
+        serial = list(imap_chunks(_total, items, chunk_size=4, workers=0))
+        pooled = list(imap_chunks(
             _total, items, chunk_size=4, workers=2, executor="process"
-        )
+        ))
         assert pooled == serial
 
     def test_single_chunk_skips_pool(self):
         # one chunk must not pay pool start-up even with workers set
-        assert map_chunks(_total, [1, 2, 3], chunk_size=10, workers=8) == [6]
+        assert list(
+            imap_chunks(_total, [1, 2, 3], chunk_size=10, workers=8)
+        ) == [6]
 
     def test_empty_items(self):
-        assert map_chunks(_total, [], chunk_size=4, workers=2) == []
+        assert list(imap_chunks(_total, [], chunk_size=4, workers=2)) == []
 
     def test_unknown_executor_rejected(self):
         with pytest.raises(ValueError, match="executor"):
-            map_chunks(_total, list(range(8)), chunk_size=2, workers=2,
-                       executor="fiber")
+            list(imap_chunks(_total, list(range(8)), chunk_size=2,
+                             workers=2, executor="fiber"))
 
 
 _CALL_LOG: list[tuple[int, ...]] = []
@@ -78,31 +82,31 @@ class TestTaskExceptionPropagation:
     def test_task_oserror_propagates(self, executor):
         _CALL_LOG.clear()
         with pytest.raises(OSError, match="disk gone"):
-            map_chunks(
+            list(imap_chunks(
                 _record_then_fail,
                 list(range(8)),
                 chunk_size=2,
                 workers=2,
                 executor=executor,
-            )
+            ))
 
     def test_chunks_not_rerun_after_task_failure(self):
         _CALL_LOG.clear()
         with pytest.raises(OSError):
-            map_chunks(
+            list(imap_chunks(
                 _record_then_fail,
                 list(range(8)),
                 chunk_size=2,
                 workers=2,
                 executor="thread",
-            )
+            ))
         # the old fallback re-ran every chunk serially after the failure,
         # doubling side effects; each chunk must now run at most once
         assert len(_CALL_LOG) == len(set(_CALL_LOG))
 
     def test_serial_task_oserror_propagates(self):
         with pytest.raises(OSError, match="disk gone"):
-            map_chunks(_record_then_fail, list(range(8)), chunk_size=2)
+            list(imap_chunks(_record_then_fail, list(range(8)), chunk_size=2))
 
 
 class TestImapChunks:
@@ -135,12 +139,6 @@ class TestImapChunks:
                 done.append(result)
         assert done == [1, 5]
 
-    def test_matches_map_chunks(self):
-        items = list(range(20))
-        assert list(imap_chunks(_total, items, chunk_size=4, workers=3)) == (
-            map_chunks(_total, items, chunk_size=4)
-        )
-
 
 class TestWatchdog:
     """A pooled chunk that never answers is cancelled at the deadline
@@ -162,7 +160,7 @@ class TestWatchdog:
             return sum(chunk)
 
         try:
-            results = map_chunks(
+            results = list(imap_chunks(
                 maybe_hang,
                 list(range(8)),
                 chunk_size=2,
@@ -170,7 +168,7 @@ class TestWatchdog:
                 executor="thread",
                 timeout=0.5,
                 on_timeout=fired.append,
-            )
+            ))
         finally:
             release.set()  # unblock the abandoned worker thread
         assert results == [1, 5, 9, 13]
@@ -199,20 +197,20 @@ class TestWatchdog:
     def test_armed_watchdog_is_invisible_without_a_hang(self):
         items = list(range(20))
         fired = []
-        pooled = map_chunks(
+        pooled = list(imap_chunks(
             _total, items, chunk_size=4, workers=3, executor="thread",
             timeout=30.0, on_timeout=fired.append,
-        )
-        assert pooled == map_chunks(_total, items, chunk_size=4)
+        ))
+        assert pooled == list(imap_chunks(_total, items, chunk_size=4))
         assert fired == []
 
     def test_serial_path_ignores_timeout(self):
         # workers=0 never pools, so there is nothing to watch
-        assert map_chunks(
+        assert list(imap_chunks(
             _total, list(range(6)), chunk_size=2, timeout=0.001
-        ) == [1, 5, 9]
+        )) == [1, 5, 9]
 
     def test_rejects_non_positive_timeout(self):
         with pytest.raises(ValueError, match="timeout"):
-            map_chunks(_total, list(range(4)), chunk_size=2, workers=2,
-                       timeout=0.0)
+            list(imap_chunks(_total, list(range(4)), chunk_size=2,
+                             workers=2, timeout=0.0))

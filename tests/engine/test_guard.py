@@ -311,17 +311,6 @@ class TestGuardedTraining:
         for key, value in classifier.network.get_weights().items():
             np.testing.assert_array_equal(value, frozen_weights[key])
 
-    def test_snapshotless_classifier_passes_through(self):
-        class Opaque:
-            pass
-
-        supervisor, log = make_supervisor()
-        trace = supervisor.guarded_training(
-            Opaque(), lambda: [float("nan")], stage="seed"
-        )
-        assert np.isnan(trace[0])  # unsupervised: no rollback possible
-        assert log.kinds() == []
-
 
 def fast_config(**overrides):
     defaults = dict(

@@ -117,47 +117,3 @@ class TestSessionPrediction:
         full = clf.predict_full(big)
         np.testing.assert_array_equal(full.logits, clf.predict_logits(big))
         np.testing.assert_array_equal(full.embeddings, clf.embeddings(big))
-
-
-class TestIterLogits:
-    def test_single_batch_bit_identical_to_logits(self, trained):
-        clf, pool = trained
-        session = InferenceSession(clf, pool)
-        idx = np.arange(0, len(pool), 2)
-        batches = list(session.iter_logits(idx))  # default: one batch
-        assert len(batches) == 1
-        rows, logits = batches[0]
-        np.testing.assert_array_equal(rows, idx)
-        np.testing.assert_array_equal(logits, session.logits(idx))
-
-    def test_batch_zero_means_whole_pool(self, trained):
-        clf, pool = trained
-        session = InferenceSession(clf, pool)
-        batches = list(session.iter_logits(batch=0))
-        assert len(batches) == 1
-        assert len(batches[0][1]) == len(pool)
-
-    def test_batches_are_bounded_and_cover_rows(self, trained):
-        clf, pool = trained
-        session = InferenceSession(clf, pool)
-        idx = np.arange(0, 50)
-        rows_seen = []
-        for rows, logits in session.iter_logits(idx, batch=16):
-            assert len(rows) <= 16
-            assert len(logits) == len(rows)
-            rows_seen.extend(int(r) for r in rows)
-        assert rows_seen == list(range(50))
-
-    def test_none_indices_streams_every_row(self, trained):
-        clf, pool = trained
-        session = InferenceSession(clf, pool)
-        total = sum(
-            len(rows) for rows, _ in session.iter_logits(batch=7)
-        )
-        assert total == len(pool)
-
-    def test_negative_batch_rejected(self, trained):
-        clf, pool = trained
-        session = InferenceSession(clf, pool)
-        with pytest.raises(ValueError):
-            list(session.iter_logits(batch=-1))

@@ -1,18 +1,8 @@
-"""Tests for rectilinear polygons and orientation transforms."""
+"""Tests for rectilinear polygons."""
 
-import numpy as np
 import pytest
 
-from repro.layout import (
-    ORIENTATIONS,
-    Clip,
-    Rect,
-    RectilinearPolygon,
-    total_area,
-    transform_clip,
-    transform_rect,
-    transform_rects,
-)
+from repro.layout import Rect, RectilinearPolygon, total_area
 
 
 class TestRectilinearPolygon:
@@ -69,89 +59,3 @@ class TestRectilinearPolygon:
             RectilinearPolygon(
                 ((0, 0), (10, 0), (10, 5), (5, 5), (5, 10))
             )
-
-
-class TestTransformRect:
-    SIZE = 100
-
-    def test_identity(self):
-        rect = Rect(10, 20, 30, 50)
-        assert transform_rect(rect, self.SIZE, "identity") == rect
-
-    def test_flip_x(self):
-        rect = Rect(10, 20, 30, 50)
-        assert transform_rect(rect, self.SIZE, "flip_x") == Rect(70, 20, 90, 50)
-
-    def test_flip_y(self):
-        rect = Rect(10, 20, 30, 50)
-        assert transform_rect(rect, self.SIZE, "flip_y") == Rect(10, 50, 30, 80)
-
-    def test_rot180_is_double_flip(self):
-        rect = Rect(10, 20, 30, 50)
-        double = transform_rect(
-            transform_rect(rect, self.SIZE, "flip_x"), self.SIZE, "flip_y"
-        )
-        assert transform_rect(rect, self.SIZE, "rot180") == double
-
-    def test_transpose_swaps_axes(self):
-        rect = Rect(10, 20, 30, 50)
-        assert transform_rect(rect, self.SIZE, "transpose") == Rect(
-            20, 10, 50, 30
-        )
-
-    def test_all_orientations_preserve_area(self):
-        rect = Rect(5, 10, 40, 22)
-        for orientation in ORIENTATIONS:
-            out = transform_rect(rect, self.SIZE, orientation)
-            assert out.area == rect.area, orientation
-
-    def test_rot90_four_times_is_identity(self):
-        rect = Rect(5, 10, 40, 22)
-        out = rect
-        for _ in range(4):
-            out = transform_rect(out, self.SIZE, "rot90")
-        assert out == rect
-
-    def test_unknown_orientation(self):
-        with pytest.raises(ValueError, match="unknown orientation"):
-            transform_rect(Rect(0, 0, 1, 1), 10, "spin")
-
-
-class TestTransformClip:
-    def make_clip(self):
-        window = Rect(1000, 1000, 1100, 1100)
-        return Clip(window, window.expanded(-20),
-                    rects=[Rect(10, 20, 30, 40)], index=5)
-
-    def test_transform_keeps_window_and_index(self):
-        clip = self.make_clip()
-        out = transform_clip(clip, "rot90")
-        assert out.window == clip.window
-        assert out.index == clip.index
-        assert out.rects != clip.rects
-
-    def test_rect_stays_inside_frame(self):
-        clip = self.make_clip()
-        frame = Rect(0, 0, 100, 100)
-        for orientation in ORIENTATIONS:
-            out = transform_clip(clip, orientation)
-            assert frame.contains_rect(out.rects[0]), orientation
-
-    def test_nonsquare_rejects_rotation(self):
-        window = Rect(0, 0, 200, 100)
-        clip = Clip(window, window.expanded(-10),
-                    rects=[Rect(10, 10, 20, 20)])
-        with pytest.raises(ValueError, match="square"):
-            transform_clip(clip, "rot90")
-        # flips along an axis are fine for non-square clips
-        transform_clip(clip, "flip_x")
-
-    def test_raster_consistency(self):
-        """Transforming geometry then rasterizing equals rasterizing
-        then flipping the image (for flips)."""
-        clip = self.make_clip()
-        base = clip.raster(50, antialias=False)
-        flipped_geo = transform_clip(clip, "flip_y").raster(50, antialias=False)
-        np.testing.assert_array_equal(flipped_geo, base[::-1, :])
-        flipped_x = transform_clip(clip, "flip_x").raster(50, antialias=False)
-        np.testing.assert_array_equal(flipped_x, base[:, ::-1])

@@ -1,4 +1,4 @@
-"""Tests for SVG and Netpbm visualization output."""
+"""Tests for SVG visualization output."""
 
 import numpy as np
 import pytest
@@ -8,8 +8,6 @@ from repro.viz import (
     render_clip_svg,
     render_detection_svg,
     render_layout_svg,
-    save_intensity_ppm,
-    save_pgm,
 )
 
 
@@ -64,48 +62,3 @@ class TestSvg:
                          np.zeros((0, 1, 2, 2)), np.zeros((0, 3)))
         with pytest.raises(ValueError):
             render_detection_svg(ds, [], tmp_path / "x.svg")
-
-
-class TestNetpbm:
-    def test_pgm_format(self, tmp_path):
-        image = np.linspace(0, 1, 12).reshape(3, 4)
-        path = tmp_path / "img.pgm"
-        save_pgm(image, path)
-        data = path.read_bytes()
-        assert data.startswith(b"P5\n4 3\n255\n")
-        pixels = np.frombuffer(data.split(b"255\n", 1)[1], dtype=np.uint8)
-        assert pixels[0] == 0
-        assert pixels[-1] == 255
-
-    def test_pgm_constant_image_safe(self, tmp_path):
-        save_pgm(np.full((2, 2), 0.7), tmp_path / "c.pgm")
-
-    def test_pgm_rejects_3d(self, tmp_path):
-        with pytest.raises(ValueError):
-            save_pgm(np.zeros((2, 2, 2)), tmp_path / "x.pgm")
-
-    def test_ppm_heatmap_colors(self, tmp_path):
-        intensity = np.array([[0.0, 0.35, 1.0]])
-        path = tmp_path / "heat.ppm"
-        save_intensity_ppm(intensity, path, threshold=0.35)
-        data = path.read_bytes()
-        assert data.startswith(b"P6\n3 1\n255\n")
-        rgb = np.frombuffer(data.split(b"255\n", 1)[1],
-                            dtype=np.uint8).reshape(1, 3, 3)
-        np.testing.assert_array_equal(rgb[0, 0], [0, 0, 255])    # dark: blue
-        np.testing.assert_array_equal(rgb[0, 1], [255, 255, 255])  # threshold: white
-        np.testing.assert_array_equal(rgb[0, 2], [255, 0, 0])    # bright: red
-
-    def test_ppm_on_real_aerial_image(self, tmp_path):
-        from repro.litho import duv_model
-
-        mask = np.zeros((32, 32))
-        mask[:, 12:20] = 1.0
-        intensity = duv_model().aerial_image(mask, 10.0)
-        save_intensity_ppm(intensity, tmp_path / "aerial.ppm")
-        assert (tmp_path / "aerial.ppm").stat().st_size > 32 * 32 * 3
-
-    def test_ppm_rejects_bad_threshold(self, tmp_path):
-        with pytest.raises(ValueError):
-            save_intensity_ppm(np.zeros((2, 2)), tmp_path / "x.ppm",
-                               threshold=0.0)
