@@ -195,7 +195,7 @@ class HotspotClassifier:
                 batch = order[start : start + self.batch_size]
                 logits = self.network.forward(x[batch], train=True)
                 losses.append(loss_fn(logits, y[batch]))
-                self.network.backward(loss_fn.backward())
+                self.network.backward(loss_fn.backward(), input_grad=False)
                 self._optimizer.step(self.network.param_groups())
             trace.append(float(np.mean(losses)))
             self._fitted = True

@@ -176,21 +176,25 @@ def col2im(
     stride: int = 1,
     pad: int = 0,
 ) -> np.ndarray:
-    """Adjoint of :func:`im2col`: fold column matrix back, summing overlaps."""
+    """Adjoint of :func:`im2col`: fold column matrix back, summing overlaps.
+
+    Accumulates into a channels-last buffer, so each kernel offset's add
+    runs along rows of ``OW * C`` elements instead of ``C * OH`` runs of
+    ``OW``.  Every pixel still sums the same terms in the same ``(ky,
+    kx)`` order starting from 0.0, so the result is bit-identical to an
+    NCHW accumulation.  Returns a contiguous NCHW array.
+    """
     n, c, h, w = input_shape
     out_h = conv_output_size(h, kernel_h, stride, pad)
     out_w = conv_output_size(w, kernel_w, stride, pad)
 
     cols = cols.reshape(n, out_h, out_w, c, kernel_h, kernel_w)
-    cols = cols.transpose(0, 3, 4, 5, 1, 2)
-
-    padded = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=cols.dtype)
+    padded = np.zeros((n, h + 2 * pad, w + 2 * pad, c), dtype=cols.dtype)
     for ky in range(kernel_h):
         y_max = ky + stride * out_h
         for kx in range(kernel_w):
             x_max = kx + stride * out_w
-            padded[:, :, ky:y_max:stride, kx:x_max:stride] += cols[:, :, ky, kx, :, :]
+            padded[:, ky:y_max:stride, kx:x_max:stride] += cols[..., ky, kx]
 
-    if pad > 0:
-        return padded[:, :, pad:-pad, pad:-pad]
-    return padded
+    interior = padded[:, pad : pad + h, pad : pad + w]
+    return np.ascontiguousarray(interior.transpose(0, 3, 1, 2))

@@ -114,10 +114,31 @@ class Sequential:
                 return x
         raise AssertionError("unreachable")  # pragma: no cover
 
-    def backward(self, grad: np.ndarray) -> np.ndarray:
-        for layer in reversed(self.layers):
+    def backward(
+        self, grad: np.ndarray, *, input_grad: bool = True
+    ) -> np.ndarray | None:
+        """Backpropagate ``grad``; returns the gradient of the input.
+
+        Training reads only the parameter gradients: with
+        ``input_grad=False`` the pass stops at the first layer that has
+        parameters, skips the work that only its input gradient needs,
+        and returns None.
+        """
+        stop = 0
+        if not input_grad:
+            stop = next(
+                (i for i, layer in enumerate(self.layers) if layer.params()), 0
+            )
+        for layer in reversed(self.layers[stop + 1 :]):
             grad = layer.backward(grad)
-        return grad
+        first = self.layers[stop]
+        if input_grad:
+            return first.backward(grad)
+        if isinstance(first, (Conv2D, Dense)):
+            first.backward(grad, input_grad=False)
+        else:  # e.g. a leading BatchNorm, whose backward has no shortcut
+            first.backward(grad)
+        return None
 
     def __call__(self, x: np.ndarray, train: bool = False) -> np.ndarray:
         return self.forward(x, train=train)

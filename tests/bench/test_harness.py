@@ -1,6 +1,5 @@
 """Tests for the experiment harness utilities."""
 
-import numpy as np
 import pytest
 
 from repro.bench import (

@@ -1,6 +1,5 @@
 """Tests for the command-line interface."""
 
-import numpy as np
 import pytest
 
 from repro.cli import (

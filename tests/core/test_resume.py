@@ -8,7 +8,7 @@ same batch selections, same litho meter, same final network weights.
 import numpy as np
 import pytest
 
-from repro.core import FrameworkConfig, PSHDFramework
+from repro.core import PSHDFramework
 from repro.engine.checkpoint import CheckpointError
 from repro.engine.events import EventBus, EventLog
 

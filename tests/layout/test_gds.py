@@ -2,7 +2,6 @@
 
 import struct
 
-import numpy as np
 import pytest
 
 from repro.layout import Layout, Rect, load_gds, save_gds

@@ -5,7 +5,6 @@ import pytest
 
 from repro.layout import Rect, rasterize
 from repro.litho import (
-    ThresholdResist,
     cd_uniformity,
     contour_crossings,
     duv_model,

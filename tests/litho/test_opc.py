@@ -3,9 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.layout import Clip, Rect, rasterize
+from repro.layout import Rect, rasterize
 from repro.litho import (
-    LithoSimulator,
     OPCConfig,
     ThresholdResist,
     duv_model,

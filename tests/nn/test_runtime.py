@@ -301,7 +301,7 @@ class TestFusedNetwork:
             gin_b = layer.backward(gin_b)
         assert np.array_equal(gin_a, gin_b)
         for la, lb in zip(net_a.layers, net_b.layers):
-            for ga, gb in zip(la.grads(), lb.grads()):
+            for ga, gb in zip(la.grads().values(), lb.grads().values()):
                 assert np.array_equal(ga, gb)
 
     def test_inference_does_not_overwrite_training_cols(self, rng):
