@@ -1,7 +1,7 @@
 PYTHONPATH := src
 export PYTHONPATH
 
-.PHONY: test test-strict test-threads test-serve lint reprolint mypy bench check
+.PHONY: test test-strict test-threads test-serve test-litho lint reprolint mypy bench check
 
 test:
 	python -m pytest -x -q
@@ -27,6 +27,14 @@ test-serve:
 		tests/cli/test_validation.py \
 		-x -q
 	REPRO_BENCH_QUICK=1 python -m pytest benchmarks/bench_transport.py -x -q
+
+test-litho:
+	REPRO_CHECK=strict python -m pytest \
+		tests/litho/test_simulator_reference.py \
+		tests/litho/test_defects.py \
+		tests/layout \
+		tests/core/test_golden_alg2.py \
+		-x -q
 
 reprolint:
 	python -m repro.analysis.lint src tests

@@ -22,6 +22,9 @@ REPRO_BENCH_QUICK=1 python -m pytest \
     benchmarks/bench_transport.py \
     -x -q
 
+echo "==> benchmark suite smoke (every workload at --smoke size, correct)"
+python -m pytest benchmarks/suite/test_suite.py -x -q
+
 echo "==> all six examples (exit code only)"
 python examples/quickstart.py
 python examples/calibration_study.py

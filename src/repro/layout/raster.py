@@ -9,6 +9,8 @@ visible to the optics model instead of aliasing away.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .geometry import Rect
@@ -62,10 +64,10 @@ def _paint_coverage(
     image: np.ndarray, rect: Rect, px_w: float, px_h: float, grid: int
 ) -> None:
     """Accumulate exact per-pixel coverage of one rect."""
-    col0 = max(int(np.floor(rect.x0 / px_w)), 0)
-    col1 = min(int(np.ceil(rect.x1 / px_w)), grid)
-    row0 = max(int(np.floor(rect.y0 / px_h)), 0)
-    row1 = min(int(np.ceil(rect.y1 / px_h)), grid)
+    col0 = max(math.floor(rect.x0 / px_w), 0)
+    col1 = min(math.ceil(rect.x1 / px_w), grid)
+    row0 = max(math.floor(rect.y0 / px_h), 0)
+    row1 = min(math.ceil(rect.y1 / px_h), grid)
     if col0 >= col1 or row0 >= row1:
         return
 
@@ -74,12 +76,12 @@ def _paint_coverage(
     # horizontal overlap of each pixel column with the rect
     x_lo = np.maximum(cols * px_w, rect.x0)
     x_hi = np.minimum((cols + 1) * px_w, rect.x1)
-    frac_x = np.clip(x_hi - x_lo, 0.0, px_w) / px_w
+    frac_x = np.minimum(np.maximum(x_hi - x_lo, 0.0), px_w) / px_w
     y_lo = np.maximum(rows * px_h, rect.y0)
     y_hi = np.minimum((rows + 1) * px_h, rect.y1)
-    frac_y = np.clip(y_hi - y_lo, 0.0, px_h) / px_h
+    frac_y = np.minimum(np.maximum(y_hi - y_lo, 0.0), px_h) / px_h
 
-    image[np.ix_(rows, cols)] += np.outer(frac_y, frac_x)
+    image[row0:row1, col0:col1] += frac_y[:, None] * frac_x
 
 
 def _paint_centres(

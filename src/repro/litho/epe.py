@@ -9,14 +9,23 @@ clip's core region:
 * **bridge** — two separate features merge: resist prints well outside any
   target shape;
 * **EPE violation** — the printed contour lands farther than a tolerance
-  from the target edge (computed with distance transforms).
+  from the target edge.
 
 A clip is a hotspot when any defect occurs inside its core region at any
 process corner (Definition 1 of the paper).
+
+The EPE region needs no distance field: a target-edge pixel is farther
+than ``tol`` from every printed-edge pixel exactly when it lies outside
+the printed edge dilated by the integer disk ``sqrt(dy*dy + dx*dx) <=
+tol`` (:func:`_dilate`).  The field (:func:`edge_placement_error`) is
+computed only for the severity of a component large enough to report.
 """
 
 from __future__ import annotations
 
+import functools
+import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,20 +51,47 @@ class Defect:
     severity: float
 
 
-def _interior(mask: np.ndarray, margin_px: int) -> np.ndarray:
-    """Erode ``mask`` by ``margin_px`` (8-connected square element)."""
-    if margin_px <= 0:
-        return mask
-    structure = np.ones((2 * margin_px + 1, 2 * margin_px + 1), dtype=bool)
-    return ndimage.binary_erosion(mask, structure=structure)
+def _check_settings(tol: float, margin: int) -> None:
+    """Reject settings that would silently break the verdict."""
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"epe_tolerance_px must be finite and >= 0, got {tol}")
+    if margin < 0:
+        raise ValueError(f"morph_margin_px must be >= 0, got {margin}")
 
 
-def _exterior(mask: np.ndarray, margin_px: int) -> np.ndarray:
-    """Dilate ``mask`` by ``margin_px``."""
-    if margin_px <= 0:
-        return mask
-    structure = np.ones((2 * margin_px + 1, 2 * margin_px + 1), dtype=bool)
-    return ndimage.binary_dilation(mask, structure=structure)
+def _dilate(
+    mask: np.ndarray, half_widths: tuple[int, ...], outside: bool = False
+) -> np.ndarray:
+    """OR of ``mask`` shifted by every ``(dy, dx)`` of a footprint that is
+    symmetric about its centre: row ``dy = i - len(half_widths) // 2``
+    spans ``|dx| <= half_widths[i]``.  Pixels beyond the border read as
+    ``outside``, so ``~_dilate(~mask, ..., outside=True)`` is the erosion
+    that ``scipy.ndimage.binary_erosion`` computes."""
+    r, c = len(half_widths) // 2, max(half_widths)
+    h, w = mask.shape
+    padded = np.full((h + 2 * r, w + 2 * c), outside)
+    padded[r : r + h, c : c + w] = mask
+    out = np.zeros(mask.shape, dtype=bool)
+    band = padded[:, c : c + w].copy()  # padded, dilated by k along x
+    for k in range(c + 1):
+        if k:
+            band |= padded[:, c - k : c - k + w]
+            band |= padded[:, c + k : c + k + w]
+        for i, width in enumerate(half_widths):
+            if width == k:
+                out |= band[i : i + h]
+    return out
+
+
+@functools.lru_cache(maxsize=64)
+def _disk(tol: float, limit: int) -> tuple[int, ...]:
+    """:func:`_dilate` half-widths of the integer offsets within ``tol``,
+    by the distance transform's own test ``sqrt(float(dy*dy + dx*dx))``.
+    Offsets beyond ``limit`` join no two pixels of the image."""
+    r = min(int(tol), limit)
+    d = np.arange(-r, r + 1)
+    inside = np.sqrt((d[:, None] ** 2 + d**2).astype(np.float64)) <= tol
+    return tuple(int(n) // 2 for n in inside.sum(axis=1))
 
 
 def edge_placement_error(
@@ -67,20 +103,19 @@ def edge_placement_error(
     printed contour pixel.  Returns an array of shape ``target.shape``
     that is 0 away from target edges.
     """
-    return _epe_field(_edge(target.astype(bool)), printed.astype(bool))
+    return _epe_field(_edge(target.astype(bool)), _edge(printed.astype(bool)))
 
 
 def _edge(mask: np.ndarray) -> np.ndarray:
-    """Contour pixels of a binary mask (the mask minus its erosion)."""
-    return mask ^ ndimage.binary_erosion(mask)
+    """Contour pixels of a binary mask: the mask minus its cross erosion."""
+    return mask & _dilate(~mask, (0, 1, 0), outside=True)
 
 
-def _epe_field(target_edge: np.ndarray, printed: np.ndarray) -> np.ndarray:
-    """:func:`edge_placement_error` given the target contour."""
+def _epe_field(target_edge: np.ndarray, printed_edge: np.ndarray) -> np.ndarray:
+    """:func:`edge_placement_error` given both contours."""
     field = np.zeros(target_edge.shape, dtype=np.float64)
     if not target_edge.any():
         return field
-    printed_edge = _edge(printed)
     if not printed_edge.any():
         # nothing printed at all: every target edge is maximally misplaced
         field[target_edge] = float(max(target_edge.shape))
@@ -118,6 +153,7 @@ def find_defects(
         raise ValueError(
             f"shape mismatch: target {target.shape} vs printed {printed.shape}"
         )
+    _check_settings(epe_tolerance_px, morph_margin_px)
     return _TargetChecks(target, core, morph_margin_px).defects(
         printed, epe_tolerance_px, min_defect_px
     )
@@ -143,10 +179,11 @@ class _TargetChecks:
         target = target.astype(bool)
         self.core_mask = np.zeros(target.shape, dtype=bool)
         self.core_mask[row0:row1, col0:col1] = True
-        # pinch: target interior that failed to print
-        self.pinch_zone = _interior(target, morph_margin_px) & self.core_mask
+        square = (morph_margin_px,) * (2 * morph_margin_px + 1)
+        # pinch: target interior (eroded by the margin) that failed to print
+        self.pinch_zone = ~_dilate(~target, square, outside=True) & self.core_mask
         # bridge: printed resist well outside any target shape
-        self.bridge_zone = ~_exterior(target, morph_margin_px) & self.core_mask
+        self.bridge_zone = ~_dilate(target, square) & self.core_mask
         self.edge = _edge(target)
 
     def defects(
@@ -164,10 +201,17 @@ class _TargetChecks:
             printed & self.bridge_zone, "bridge", min_defect_px
         )
         # EPE: contour displacement beyond tolerance
-        epe_field = _epe_field(self.edge, printed)
-        epe_region = (epe_field > epe_tolerance_px) & self.core_mask
+        printed_edge = _edge(printed)
+        if printed_edge.any():
+            disk = _disk(epe_tolerance_px, max(printed.shape) - 1)
+            far = ~_dilate(printed_edge, disk)
+        else:
+            # nothing printed at all: every target edge is max(shape) off
+            far = max(printed.shape) > epe_tolerance_px
+        epe_region = self.edge & far & self.core_mask
         defects += _component_defects(
-            epe_region, "epe", min_defect_px, epe_field
+            epe_region, "epe", min_defect_px,
+            lambda: _epe_field(self.edge, printed_edge),
         )
         return defects
 
@@ -176,12 +220,12 @@ def _component_defects(
     region: np.ndarray,
     kind: str,
     min_defect_px: int,
-    epe_field: np.ndarray | None = None,
+    epe_field: Callable[[], np.ndarray] | None = None,
 ) -> list[Defect]:
     """One defect per connected component of ``region`` of at least
     ``min_defect_px`` pixels, at its rounded centre of mass.  The severity
-    is the component's area, or its largest ``epe_field`` value when one
-    is given."""
+    is the component's area, or its largest value of the field that
+    ``epe_field()`` returns, called only when a component is kept."""
     if not region.any():
         return []
     labels, count = ndimage.label(region)
@@ -193,7 +237,7 @@ def _component_defects(
     if epe_field is None:
         severities = sizes[keep]
     else:
-        severities = ndimage.maximum(epe_field, labels, keep)
+        severities = ndimage.maximum(epe_field(), labels, keep)
     return [
         Defect(kind, int(round(row)), int(round(col)), float(severity))
         for severity, (row, col) in zip(severities, centers)

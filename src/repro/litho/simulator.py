@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..layout.clip import Clip
-from .epe import Defect, _TargetChecks
+from .epe import Defect, _check_settings, _TargetChecks
 from .optics import OpticalModel, duv_model, euv_model
 from .resist import ThresholdResist
 
@@ -91,6 +91,7 @@ class LithoSimulator:
             raise ValueError("at least one process corner required")
         if grid <= 0:
             raise ValueError(f"grid must be positive, got {grid}")
+        _check_settings(epe_tolerance_px, morph_margin_px)
         self.grid = grid
         self.epe_tolerance_px = epe_tolerance_px
         self.morph_margin_px = morph_margin_px

@@ -20,6 +20,17 @@ def make_clip(rects, size=1200, margin=300, idx=0):
     return Clip(window, window.expanded(-margin), rects=rects, index=idx)
 
 
+# each would silently break the verdict: a negative tolerance flags the
+# whole core (an empty clip is a hotspot), NaN or infinity turns the EPE
+# check off, and a negative margin reads as 0
+BAD_SETTINGS = [
+    ("epe_tolerance_px", -1.0),
+    ("epe_tolerance_px", float("nan")),
+    ("epe_tolerance_px", float("inf")),
+    ("morph_margin_px", -1),
+]
+
+
 class TestThresholdResist:
     def test_develop_thresholds(self):
         resist = ThresholdResist(threshold=0.5)
@@ -120,6 +131,20 @@ class TestFindDefects:
         target = np.zeros((8, 8), dtype=bool)
         with pytest.raises(ValueError, match="core"):
             find_defects(target, target, (0, 0, 9, 8))
+
+    @pytest.mark.parametrize("name, value", BAD_SETTINGS)
+    def test_rejects_settings_that_break_the_verdict(self, name, value):
+        target = np.zeros((8, 8), dtype=bool)
+        with pytest.raises(ValueError, match=name):
+            find_defects(target, target, (1, 1, 7, 7), **{name: value})
+
+    def test_zero_tolerance_and_margin_accepted(self):
+        target = np.zeros((8, 8), dtype=bool)
+        target[2:6, 2:6] = True
+        assert find_defects(
+            target, target, (1, 1, 7, 7), epe_tolerance_px=0.0,
+            morph_margin_px=0,
+        ) == []
 
     def test_epe_severity_read_off_the_component(self):
         """An L-shaped EPE component's centre of mass lies off the
@@ -222,6 +247,11 @@ class TestLithoSimulator:
     def test_rejects_bad_grid(self):
         with pytest.raises(ValueError):
             LithoSimulator(grid=0)
+
+    @pytest.mark.parametrize("name, value", BAD_SETTINGS)
+    def test_rejects_defect_settings_that_break_the_verdict(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            LithoSimulator.for_tech(28, **{name: value})
 
 
 class TestLithoLabeler:

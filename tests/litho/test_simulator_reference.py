@@ -3,19 +3,25 @@
 ``LithoSimulator.simulate`` does each clip's corner-independent work once:
 the target-side morphology, one amplitude per distinct defocus, a
 memoized PSF spectrum, and no component statistics for empty regions.
-The reference below is the earlier implementation, which redid all of
-it at every corner: the PSF kernel and its FFT rebuilt per call, four
-binary-morphology calls per corner, and full ``label`` /
-``sum_labels`` / ``center_of_mass`` on every region.  Both must return
-exactly equal results.
+It decides the EPE region by dilating the printed contour with an
+integer disk, does its morphology by shifting slices of a padded copy,
+and rasterizes each rect by slice.  The reference below is the earlier
+implementation, which redid all of it at every corner: the raster
+painted through ``np.ix_``/``np.outer``/``np.clip``, the PSF kernel and
+its FFT rebuilt per call, four scipy binary-morphology calls and a
+distance transform per corner, and full ``label`` / ``sum_labels`` /
+``center_of_mass`` on every region.  Both must return exactly equal
+results.
 """
+
+import math
 
 import numpy as np
 import pytest
 from scipy import ndimage
 
 from repro.data.synth import DUV_RULES, EUV_RULES, generate_layout
-from repro.layout import Clip, Rect
+from repro.layout import Clip, Rect, rasterize
 from repro.layout.clip import extract_clip_grid
 from repro.litho import (
     Defect,
@@ -30,6 +36,31 @@ from repro.litho import (
 # ----------------------------------------------------------------------
 # reference: the per-corner path, frozen
 # ----------------------------------------------------------------------
+
+
+def _ref_rasterize(rects, window_size, grid):
+    """The antialiased ``rasterize``, painting through ``np.ix_``."""
+    width_nm, height_nm = window_size
+    image = np.zeros((grid, grid), dtype=np.float64)
+    px_w = width_nm / grid
+    px_h = height_nm / grid
+    for rect in rects:
+        col0 = max(int(np.floor(rect.x0 / px_w)), 0)
+        col1 = min(int(np.ceil(rect.x1 / px_w)), grid)
+        row0 = max(int(np.floor(rect.y0 / px_h)), 0)
+        row1 = min(int(np.ceil(rect.y1 / px_h)), grid)
+        if col0 >= col1 or row0 >= row1:
+            continue
+        cols = np.arange(col0, col1)
+        rows = np.arange(row0, row1)
+        x_lo = np.maximum(cols * px_w, rect.x0)
+        x_hi = np.minimum((cols + 1) * px_w, rect.x1)
+        frac_x = np.clip(x_hi - x_lo, 0.0, px_w) / px_w
+        y_lo = np.maximum(rows * px_h, rect.y0)
+        y_hi = np.minimum((rows + 1) * px_h, rect.y1)
+        frac_y = np.clip(y_hi - y_lo, 0.0, px_h) / px_h
+        image[np.ix_(rows, cols)] += np.outer(frac_y, frac_x)
+    return np.clip(image, 0.0, 1.0)
 
 
 def _ref_aerial_image(optical, mask, pixel_nm, defocus_nm, dose):
@@ -139,7 +170,7 @@ def _ref_printed(sim, clip):
     """``(target, core, [(corner, printed), ...])`` of the reference."""
     width_nm, _ = clip.size
     pixel_nm = width_nm / sim.grid
-    mask = clip.raster(sim.grid, antialias=True)
+    mask = _ref_rasterize(clip.rects, clip.size, sim.grid)
     printed = [
         (
             corner,
@@ -201,6 +232,11 @@ CHIPS = {
 
 SIMULATORS = {
     "default": {},
+    "tol1.5": {"epe_tolerance_px": 1.5},
+    "tol-sqrt5": {"epe_tolerance_px": math.sqrt(5)},
+    "tol2.5": {"epe_tolerance_px": 2.5},
+    "margin1": {"morph_margin_px": 1},
+    "margin3": {"morph_margin_px": 3},
     "custom": {
         "morph_margin_px": 0,
         "min_defect_px": 1,
@@ -260,6 +296,67 @@ class TestAgainstReference:
         epe = [d for r in results for d in r.defects if d.kind == "epe"]
         assert epe
         assert all(d.severity > sim.epe_tolerance_px for d in epe)
+
+
+@pytest.mark.parametrize("grid", [96, 64, 37])
+def test_raster_equals_reference(chip, grid):
+    _, clips = chip
+    size = clips[0].size
+    width, height = size
+    # rects that cross the window's edges or lie wholly outside it
+    stray = [
+        Rect(-70, -30, 45, 20),
+        Rect(width - 13, height // 3, width + 90, height // 3 + 7),
+        Rect(width // 2, -9, width // 2 + 1, height + 9),
+        Rect(-50, -50, -10, -10),
+        Rect(width, 0, width + 40, height),
+    ]
+    for rects in [clip.rects for clip in clips] + [stray]:
+        np.testing.assert_array_equal(
+            rasterize(rects, size, grid), _ref_rasterize(rects, size, grid)
+        )
+
+
+def _random_masks(count, seed):
+    """``(target, printed, core)`` on 5-60 px images: random rectangles,
+    some crossing the border, printed as other rectangles, a shifted
+    copy or a speckled copy of the target.  One printed image is empty
+    and one all set; so is one target."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        h, w = (int(n) for n in rng.integers(5, 61, size=2))
+        target, printed = np.zeros((2, h, w), dtype=bool)
+        for mask in (target, printed):
+            for _ in range(rng.integers(1, 6)):
+                row, col = rng.integers(-4, (h, w))
+                tall, wide = rng.integers(5, 20, size=2)
+                mask[max(row, 0) : row + tall, max(col, 0) : col + wide] = True
+        if i % 3 == 1:
+            printed = np.roll(target, rng.integers(-3, 4, size=2), axis=(0, 1))
+        elif i % 3 == 2:
+            printed = target ^ (rng.random((h, w)) < 0.08)
+        if i in (0, 1):
+            printed[:] = i
+        if i in (2, 3):
+            target[:] = i - 2
+        row0, col0 = (int(n) for n in rng.integers(0, (h // 2, w // 2)))
+        row1 = int(rng.integers(row0 + 1, h + 1))
+        col1 = int(rng.integers(col0 + 1, w + 1))
+        yield target, printed, (row0, col0, row1, col1)
+
+
+def test_random_masks_equal_reference():
+    """Tolerances on and between the disk's radii, including 0 and one
+    beyond every distance in the image; margins 0-3."""
+    for i, (target, printed, core) in enumerate(_random_masks(300, seed=21)):
+        np.testing.assert_array_equal(
+            edge_placement_error(target, printed),
+            _ref_edge_placement_error(target, printed),
+        )
+        margin, min_px = i % 4, 1 + i % 3
+        for tol in (0.0, 1.5, 2.0, math.sqrt(5), 4.2, math.hypot(*target.shape)):
+            args = (target, printed, core, tol, margin, min_px)
+            assert find_defects(*args) == _ref_find_defects(*args), (i, tol)
 
 
 def test_process_window_equals_per_point_verdicts(chip):
