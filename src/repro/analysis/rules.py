@@ -7,10 +7,14 @@ The rules encode invariants earlier PRs rely on:
     ``np.random.Generator`` instances threaded through call trees; the
     legacy global state (``np.random.rand``, ``np.random.seed``, …)
     silently couples unrelated runs.
-``R002`` **float64 invariance of the nn/features kernels** — the whole
-    numeric stack (DCT encoding through gradients) is float64; a stray
-    ``np.float32`` literal or ``astype`` downcast truncates bits that
-    the bit-identity tests of the data plane depend on.
+``R002`` **float64 invariance of the numeric kernels** — the whole
+    numeric stack (rasterization, DCT encoding through gradients) is
+    float64; a stray ``np.float32`` literal or ``astype`` downcast
+    truncates bits that the bit-identity tests of the data plane depend
+    on.  Scope: ``repro/nn``, ``repro/features`` and
+    ``repro/layout/raster.py``, whose raster feeds both the litho
+    verdicts and the DCT features, so a downcast there would change
+    every label and every feature.
 ``R003`` **registered event names only** — ``EventBus.emit`` rejects
     unknown kinds at runtime; the linter catches the typo before any
     code runs by checking literal emit names against ``EVENT_KINDS``.
@@ -60,7 +64,8 @@ class LintContext:
 
     ``module_path`` is the file's path normalized to forward slashes;
     rules use suffix matching against it to scope themselves (e.g. R002
-    only inside ``repro/nn`` and ``repro/features``).
+    only inside ``repro/nn``, ``repro/features`` and
+    ``repro/layout/raster.py``).
     """
 
     module_path: str
@@ -129,7 +134,7 @@ def rule_r001(tree: ast.Module, context: LintContext) -> list[Violation]:
 
 
 _DOWNCAST_NAMES = frozenset({"float32", "float16", "half", "single", "csingle"})
-_R002_SCOPES = ("repro/nn/", "repro/features/")
+_R002_SCOPES = ("repro/nn/", "repro/features/", "repro/layout/raster.py")
 #: rule-level allowlist: the compute runtime is the single sanctioned
 #: home of float32 (PrecisionPolicy's fast mode); every other kernel
 #: module must obtain its compute dtype through the policy
@@ -137,7 +142,8 @@ _R002_ALLOWED = ("repro/nn/runtime.py",)
 
 
 def rule_r002(tree: ast.Module, context: LintContext) -> list[Violation]:
-    """R002: no float32/float16 literals or downcasts in f8 kernels.
+    """R002: no float32/float16 literals or downcasts in f8 kernels:
+    the nn and features packages and the rasterizer.
 
     ``repro/nn/runtime.py`` is allowlisted: the precision policy there
     is the one place allowed to name float32, so downcasts stay
@@ -160,7 +166,7 @@ def rule_r002(tree: ast.Module, context: LintContext) -> list[Violation]:
                     node.lineno,
                     node.col_offset,
                     f"np.{node.attr} breaks the float64 invariance of the "
-                    "nn/features kernels",
+                    "raster/features/nn kernels",
                 )
             )
         # dtype strings only count as call arguments ("float32" in a
@@ -177,7 +183,7 @@ def rule_r002(tree: ast.Module, context: LintContext) -> list[Violation]:
                             arg.lineno,
                             arg.col_offset,
                             f"dtype string {arg.value!r} breaks the float64 "
-                            "invariance of the nn/features kernels",
+                            "invariance of the raster/features/nn kernels",
                         )
                     )
     return [_v(context.module_path, line, col, "R002", msg) for line, col, msg in out]

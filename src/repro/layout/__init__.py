@@ -7,7 +7,7 @@ from .geometry import Rect, bounding_box, merge_touching, total_area
 from .glp import load_layout, save_layout
 from .layout import Layout
 from .polygon import RectilinearPolygon
-from .raster import rasterize, rasterize_binary
+from .raster import rasterize, rasterize_binary, rasterize_stack
 from .tiles import Tile, TileGrid
 
 __all__ = [
@@ -24,6 +24,7 @@ __all__ = [
     "TileGrid",
     "rasterize",
     "rasterize_binary",
+    "rasterize_stack",
     "save_layout",
     "load_layout",
     "save_gds",

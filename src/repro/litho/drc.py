@@ -17,6 +17,7 @@ import numpy as np
 from scipy import ndimage
 
 from ..layout.clip import Clip
+from .epe import _CROSS
 
 __all__ = ["DRCRules", "DRCViolation", "check_clip", "drc_screen"]
 
@@ -86,7 +87,7 @@ def check_clip(
 
 
 def _centroids(region: np.ndarray, kind: str) -> list[DRCViolation]:
-    labels, count = ndimage.label(region)
+    labels, count = ndimage.label(region, _CROSS)
     if count == 0:
         return []
     centers = ndimage.center_of_mass(region, labels, np.arange(1, count + 1))

@@ -33,6 +33,11 @@ from scipy import ndimage
 
 __all__ = ["Defect", "find_defects", "edge_placement_error"]
 
+#: 4-connectivity for ``ndimage.label`` (scipy's default), built once:
+#: scipy rebuilds its default structure at every call that names none
+_CROSS = ndimage.generate_binary_structure(2, 1)
+_CROSS.flags.writeable = False
+
 
 @dataclass(frozen=True)
 class Defect:
@@ -228,7 +233,7 @@ def _component_defects(
     ``epe_field()`` returns, called only when a component is kept."""
     if not region.any():
         return []
-    labels, count = ndimage.label(region)
+    labels, count = ndimage.label(region, _CROSS)
     sizes = np.bincount(labels.ravel(), minlength=count + 1)
     keep = np.flatnonzero(sizes[1:] >= min_defect_px) + 1
     if keep.size == 0:

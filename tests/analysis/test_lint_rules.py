@@ -58,7 +58,7 @@ class TestR001:
 
 
 # ----------------------------------------------------------------------
-# R002 — float64 invariance of nn/features kernels
+# R002 — float64 invariance of the nn/features kernels and the raster
 # ----------------------------------------------------------------------
 class TestR002:
     KERNEL_PATH = "src/repro/nn/somekernel.py"
@@ -93,6 +93,18 @@ class TestR002:
             """
         assert lint(source, path="src/repro/viz/plots.py") == []
         assert codes(lint(source, path="src/repro/features/k.py")) == ["R002"]
+
+    def test_scoped_to_the_rasterizer_alone_in_layout(self):
+        # the raster feeds both the litho verdicts and the DCT features
+        source = """
+            import numpy as np
+            def f(x):
+                return np.zeros(3, dtype="float32") + x.astype(np.float16)
+            """
+        assert codes(lint(source, path="src/repro/layout/raster.py")) == [
+            "R002", "R002",
+        ]
+        assert lint(source, path="src/repro/layout/geometry.py") == []
 
     def test_runtime_module_is_allowlisted(self):
         # the compute runtime is the single sanctioned float32 site

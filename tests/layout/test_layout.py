@@ -11,6 +11,7 @@ from repro.layout import (
     extract_clip_grid,
     load_layout,
     rasterize,
+    rasterize_stack,
     save_layout,
 )
 
@@ -241,6 +242,18 @@ class TestRasterize:
             rasterize([], (0, 100), 10)
         with pytest.raises(ValueError):
             rasterize([], (100, 100), 0)
+
+    def test_stack_rejects_bad_args(self):
+        with pytest.raises(ValueError, match="1 rect lists but 2"):
+            rasterize_stack([[]], [(100, 100), (100, 100)], 10)
+        with pytest.raises(ValueError, match="window must be positive"):
+            rasterize_stack([[], []], [(100, 100), (100, 0)], 10)
+        with pytest.raises(ValueError, match="grid must be positive"):
+            rasterize_stack([], [], 0)
+
+    def test_empty_stack(self):
+        stack = rasterize_stack([], [], 12)
+        assert stack.shape == (0, 12, 12) and stack.dtype == np.float64
 
     def test_orientation_row_is_y(self):
         """A rect at low y paints low rows."""

@@ -5,7 +5,8 @@ the target-side morphology, one amplitude per distinct defocus, a
 memoized PSF spectrum, and no component statistics for empty regions.
 It decides the EPE region by dilating the printed contour with an
 integer disk, does its morphology by shifting slices of a padded copy,
-and rasterizes each rect by slice.  The reference below is the earlier
+and rasterizes a stack of clips in one vectorized pass that sums each
+pixel's coverage terms in rect order.  The reference below is the earlier
 implementation, which redid all of it at every corner: the raster
 painted through ``np.ix_``/``np.outer``/``np.clip``, the PSF kernel and
 its FFT rebuilt per call, four scipy binary-morphology calls and a
@@ -18,10 +19,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import ndimage
 
 from repro.data.synth import DUV_RULES, EUV_RULES, generate_layout
-from repro.layout import Clip, Rect, rasterize
+from repro.layout import Clip, Rect, rasterize, rasterize_stack
 from repro.layout.clip import extract_clip_grid
 from repro.litho import (
     Defect,
@@ -298,23 +301,107 @@ class TestAgainstReference:
         assert all(d.severity > sim.epe_tolerance_px for d in epe)
 
 
-@pytest.mark.parametrize("grid", [96, 64, 37])
-def test_raster_equals_reference(chip, grid):
-    _, clips = chip
-    size = clips[0].size
-    width, height = size
-    # rects that cross the window's edges or lie wholly outside it
-    stray = [
+def _stray_rects(width, height):
+    """Rects that cross the window's edges or lie wholly outside it."""
+    return [
         Rect(-70, -30, 45, 20),
         Rect(width - 13, height // 3, width + 90, height // 3 + 7),
         Rect(width // 2, -9, width // 2 + 1, height + 9),
         Rect(-50, -50, -10, -10),
         Rect(width, 0, width + 40, height),
     ]
-    for rects in [clip.rects for clip in clips] + [stray]:
-        np.testing.assert_array_equal(
-            rasterize(rects, size, grid), _ref_rasterize(rects, size, grid)
+
+
+#: a Z-shaped jog whose connector overlaps both bodies, and three
+#: rects with different sub-pixel edges stacked on one spot: their
+#: coverage sums pass 1 before the clip, and the edge pixels sum three
+#: distinct fractions, whose float sum depends on the order of terms
+JOG = [
+    Rect(100, 300, 640, 380),
+    Rect(560, 300, 640, 900),
+    Rect(560, 820, 1100, 900),
+    Rect(203, 611, 259, 707),
+    Rect(205, 613, 262, 709),
+    Rect(201, 617, 257, 703),
+]
+
+GRIDS = [96, 64, 37, 97]
+
+
+@pytest.mark.parametrize("grid", GRIDS)
+def test_raster_equals_reference(chip, grid):
+    _, clips = chip
+    size = clips[0].size
+    for rects in [clip.rects for clip in clips] + [_stray_rects(*size)]:
+        assert (
+            rasterize(rects, size, grid).tobytes()
+            == _ref_rasterize(rects, size, grid).tobytes()
         )
+
+
+@pytest.fixture(scope="module")
+def mixed_stack():
+    """``(rect lists, window sizes)`` of one stack that spans several
+    kernel passes: every distinct clip of a DUV chip (1200 nm windows)
+    and of an EUV chip (640 nm), the jog, stray rects around a
+    non-square window, and an empty clip."""
+    clips = _distinct_clips(DUV_RULES, 3, 0.3) + _distinct_clips(
+        EUV_RULES, 5, 0.3
+    )
+    assert {clip.size for clip in clips} == {(1200, 1200), (640, 640)}
+    rect_lists = [clip.rects for clip in clips] + [
+        JOG, _stray_rects(1000, 700) + JOG, [],
+    ]
+    sizes = [clip.size for clip in clips] + [
+        (1200, 1200), (1000, 700), (1200, 1200),
+    ]
+    return rect_lists, sizes
+
+
+@pytest.mark.parametrize("grid", GRIDS)
+def test_raster_stack_equals_reference(mixed_stack, grid):
+    rect_lists, sizes = mixed_stack
+    stack = rasterize_stack(rect_lists, sizes, grid)
+    assert stack.shape == (len(rect_lists), grid, grid)
+    for image, rects, size in zip(stack, rect_lists, sizes):
+        assert image.tobytes() == _ref_rasterize(rects, size, grid).tobytes()
+    assert stack[-3].max() == 1.0  # the stacked rects, clipped
+
+
+def test_rasterize_equals_its_stack_slice(mixed_stack):
+    rect_lists, sizes = mixed_stack
+    stack = rasterize_stack(rect_lists, sizes, 96)
+    for image, rects, size in zip(stack, rect_lists, sizes):
+        assert rasterize(rects, size, 96).tobytes() == image.tobytes()
+
+
+@st.composite
+def _clip_geometry(draw):
+    """Random rects around a random window: overlapping, crossing its
+    edges or lying outside it."""
+    width, height = draw(st.integers(1, 1500)), draw(st.integers(1, 1500))
+    rects = []
+    for _ in range(draw(st.integers(0, 10))):
+        x0 = draw(st.integers(-width // 2, width))
+        y0 = draw(st.integers(-height // 2, height))
+        rects.append(
+            Rect(
+                x0, y0,
+                x0 + draw(st.integers(1, width)),
+                y0 + draw(st.integers(1, height)),
+            )
+        )
+    return rects, (width, height)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_clip_geometry(), max_size=20), st.integers(1, 128))
+def test_random_rect_stacks_equal_reference(geometry, grid):
+    stack = rasterize_stack(
+        [rects for rects, _ in geometry], [size for _, size in geometry], grid
+    )
+    for image, (rects, size) in zip(stack, geometry):
+        assert image.tobytes() == _ref_rasterize(rects, size, grid).tobytes()
 
 
 def _random_masks(count, seed):
