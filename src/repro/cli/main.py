@@ -13,6 +13,7 @@ the on-disk cache) and prints Table-I statistics.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -63,7 +64,8 @@ def _positive_float(text: str) -> float:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"{text!r} is not a number")
-    if value <= 0:
+    # float() parses "nan" and "inf"; NaN also fails `value > 0`
+    if not (value > 0 and math.isfinite(value)):
         raise argparse.ArgumentTypeError(
             f"expected a positive number, got {value}"
         )
@@ -75,7 +77,7 @@ def _nonnegative_float(text: str) -> float:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"{text!r} is not a number")
-    if value < 0:
+    if not (value >= 0 and math.isfinite(value)):
         raise argparse.ArgumentTypeError(
             f"expected a non-negative number, got {value}"
         )
@@ -315,7 +317,6 @@ def detect_main(argv=None) -> int:
             clips,
             chunk_size=plane_cfg.chunk_size,
             workers=plane_cfg.workers,
-            executor=plane_cfg.executor,
             timeout=plane_cfg.task_timeout,
         ),
         dtype=np.int64,

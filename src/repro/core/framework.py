@@ -152,8 +152,8 @@ class FrameworkConfig:
     #: optional early-termination predicate evaluated each iteration
     #: (see repro.core.stopping); n_iterations remains the hard ceiling
     stop_when: StoppingCriterion | None = None
-    #: data-plane settings (chunk size, worker count, executor flavour,
-    #: feature-cache tiers) used by entry points that extract features
+    #: data-plane settings (chunk size, thread-pool width, feature-cache
+    #: tiers) used by entry points that extract features
     #: or batch-label for this run (CLI detect, benchmark builds)
     dataplane: DataPlaneConfig = field(default_factory=DataPlaneConfig)
     #: write a crash-safe checkpoint to ``checkpoint_dir`` every this

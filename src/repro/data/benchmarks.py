@@ -160,7 +160,6 @@ def _build_fresh(
             clips,
             chunk_size=plane_cfg.chunk_size,
             workers=plane_cfg.workers,
-            executor=plane_cfg.executor,
         ),
         dtype=np.int64,
     )

@@ -6,17 +6,18 @@ labels for every consumer — benchmark builders, the CLI detect flow,
 the AL framework's labelers and the bench harness:
 
 * :class:`BatchFeatureExtractor` — chunked, vectorized, optionally
-  pooled clip → DCT-tensor/flat extraction, bit-identical to the eager
-  :class:`~repro.features.pipeline.FeatureExtractor` loops it replaces.
+  thread-pooled clip → DCT-tensor/flat extraction, bit-identical to the
+  eager :class:`~repro.features.pipeline.FeatureExtractor` loops it
+  replaces.
 * :class:`FeatureCache` — content-addressed two-tier cache (in-memory
   LRU + on-disk ``.npz``) keyed by clip geometry hash and extractor
   parameters.
-* :func:`imap_chunks` — the shared chunk runner (serial default,
-  thread or process pool; yields per-chunk results lazily for
+* :func:`imap_chunks` — the shared chunk runner (serial default or a
+  thread pool; yields per-chunk results lazily for
   partial-progress commits) also used by the batched labelers in
   :mod:`repro.litho.labeler` and :mod:`repro.data.dataset`.
-* :class:`DataPlaneConfig` — chunk size, worker count, executor flavour
-  and cache-tier sizing in one value (also embedded in
+* :class:`DataPlaneConfig` — chunk size, worker count and cache-tier
+  sizing in one value (also embedded in
   :class:`~repro.core.framework.FrameworkConfig`).
 * :class:`StreamScanner` / :func:`scan_layout` — tiled streaming
   full-chip detection over a :class:`~repro.layout.tiles.TileGrid`:
@@ -30,7 +31,7 @@ events with cache hit/miss counts on an optional
 """
 
 from .cache import CacheStats, FeatureCache, feature_key
-from .config import EXECUTORS, DataPlaneConfig
+from .config import DataPlaneConfig
 from .extract import BatchFeatureExtractor, FeatureBatch
 from .pool import chunked, imap_chunks
 from .stream import (
@@ -50,7 +51,6 @@ __all__ = [
     "FeatureCache",
     "feature_key",
     "DataPlaneConfig",
-    "EXECUTORS",
     "chunked",
     "imap_chunks",
     "ScanReport",

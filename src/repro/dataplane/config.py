@@ -4,10 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = ["DataPlaneConfig", "EXECUTORS", "PRECISIONS"]
-
-#: supported ``concurrent.futures`` pool flavours
-EXECUTORS = ("thread", "process")
+__all__ = ["DataPlaneConfig", "PRECISIONS"]
 
 #: supported feature-encoding precision modes (mirrors
 #: ``repro.nn.runtime.PRECISION_MODES``; duplicated literally so this
@@ -26,13 +23,10 @@ class DataPlaneConfig:
         vectorization (one stacked DCT call per chunk) and of pool
         dispatch.
     workers:
-        Pool width; ``0`` (the default) runs everything in-process with
-        no executor at all — the safe single-process fallback.
-    executor:
-        ``"thread"`` or ``"process"`` — which ``concurrent.futures``
-        pool to use when ``workers > 0``.  Thread pools are cheap and
-        suit the NumPy/SciPy kernels (which release the GIL); process
-        pools pay serialization but isolate heavier workloads.
+        Thread-pool width; ``0`` (the default) runs everything
+        in-process with no pool at all — the safe single-thread
+        fallback.  Threads suit the NumPy/SciPy kernels, which release
+        the GIL.
     memory_cache_items:
         Capacity of the in-memory LRU tier of the feature cache
         (entries, not bytes); ``0`` disables the tier.
@@ -60,7 +54,6 @@ class DataPlaneConfig:
 
     chunk_size: int = 64
     workers: int = 0
-    executor: str = "thread"
     memory_cache_items: int = 1024
     disk_cache_dir: str | None = None
     disk_cache_shards: int = 0
@@ -75,10 +68,6 @@ class DataPlaneConfig:
             )
         if self.workers < 0:
             raise ValueError(f"workers must be >= 0, got {self.workers}")
-        if self.executor not in EXECUTORS:
-            raise ValueError(
-                f"executor must be one of {EXECUTORS}, got {self.executor!r}"
-            )
         if self.memory_cache_items < 0:
             raise ValueError(
                 "memory_cache_items must be >= 0, got "

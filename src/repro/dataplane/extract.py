@@ -1,4 +1,4 @@
-"""Chunked, cached, optionally parallel batch feature extraction.
+"""Chunked, cached, optionally threaded batch feature extraction.
 
 :class:`BatchFeatureExtractor` is the data plane's front door for the
 clip → tensor path.  It wraps a plain
@@ -7,8 +7,8 @@ changing a single output bit:
 
 * **chunking** — clips are processed in fixed-size chunks, each encoded
   with one vectorized stacked-DCT call instead of a per-clip loop;
-* **parallelism** — chunks optionally fan out over a
-  ``concurrent.futures`` thread/process pool (``DataPlaneConfig.workers``);
+* **parallelism** — chunks optionally fan out over a thread pool
+  (``DataPlaneConfig.workers``);
 * **content-addressed caching** — every tensor/flat is stored under
   geometry-hash + extractor-params keys in a two-tier
   :class:`~repro.dataplane.cache.FeatureCache`, so repeated AL
@@ -53,7 +53,7 @@ class FeatureBatch:
 def _encode_chunk(
     clips: list, extractor: FeatureExtractor, want_flat: bool
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """Encode one chunk (module-level so process pools can pickle it)."""
+    """Encode one chunk of clips: one raster stack, one DCT call."""
     rasters = extractor.raster_stack(clips)
     tensors = extractor.encode_rasters(rasters)
     flats = (
@@ -71,7 +71,7 @@ class BatchFeatureExtractor:
         The parameter-fixing eager extractor; its outputs define
         correctness (the batched paths are asserted bit-identical).
     config:
-        Chunk size, pool width/flavour and cache-tier sizing.
+        Chunk size, pool width and cache-tier sizing.
     cache:
         Share an existing :class:`FeatureCache` across planes (e.g. one
         cache for a whole bench sweep); by default a private cache is
@@ -135,34 +135,6 @@ class BatchFeatureExtractor:
         """Tensors *and* flats from a single raster pass per clip."""
         return self._gather(clips, want_flat=True)
 
-    def iter_extract(self, clips, want_flat: bool = True, batch_clips: int | None = None):
-        """Stream ``(clips, FeatureBatch)`` pairs over any clip iterable.
-
-        The full-chip streaming path: ``clips`` may be a lazy iterator
-        (e.g. :meth:`repro.layout.tiles.TileGrid.iter_clips`) and is
-        consumed in bounded batches of ``batch_clips`` (default
-        ``chunk_size * max(workers, 1)``, so a pooled plane keeps every
-        worker busy per batch) — at no point is the whole feature stack
-        materialized.  Each yielded batch went through the same cached,
-        deduped, optionally pooled path as :meth:`extract`, so per-clip
-        outputs are bit-identical to an eager call; each batch emits its
-        own ``features_extracted`` event.
-        """
-        if batch_clips is None:
-            batch_clips = self.config.chunk_size * max(self.config.workers, 1)
-        if batch_clips <= 0:
-            raise ValueError(
-                f"batch_clips must be positive, got {batch_clips}"
-            )
-        pending: list = []
-        for clip in clips:
-            pending.append(clip)
-            if len(pending) >= batch_clips:
-                yield pending, self._gather(pending, want_flat)
-                pending = []
-        if pending:
-            yield pending, self._gather(pending, want_flat)
-
     # ------------------------------------------------------------------
     def _gather(self, clips, want_flat: bool) -> FeatureBatch:
         started = time.perf_counter()
@@ -212,7 +184,6 @@ class BatchFeatureExtractor:
             miss_clips,
             chunk_size=cfg.chunk_size,
             workers=cfg.workers,
-            executor=cfg.executor,
             timeout=cfg.task_timeout,
             on_timeout=on_timeout(self.bus, "extract", cfg.task_timeout),
         )

@@ -1,9 +1,9 @@
-"""Chunked execution, optionally through a ``concurrent.futures`` pool.
+"""Chunked execution, optionally through a thread pool.
 
 The data plane's unit of work is the *chunk*: a slice of clips processed
 by one vectorized kernel call.  :func:`imap_chunks` dispatches chunks
-serially (``workers == 0``, the safe single-process default) or over a
-thread/process pool, always yielding per-chunk results in input order.
+serially (``workers == 0``, the safe single-thread default) or over a
+``ThreadPoolExecutor``, always yielding per-chunk results in input order.
 The helpers are deliberately free of any dataplane imports so lower
 layers (``repro.litho``, ``repro.data``) can reuse them without cycles.
 
@@ -17,7 +17,7 @@ of stalling the run forever.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from typing import Callable, Iterator, Optional, Sequence, TypeVar
 
@@ -70,18 +70,15 @@ def _iter_chunks(
     fn: Callable[[list[T]], R],
     parts: list[list[T]],
     workers: int,
-    executor: str,
     timeout: Optional[float],
     on_timeout: Optional[Callable[[int], None]],
 ) -> Iterator[R]:
     """Yield per-chunk results in input order (lazy pool consumption).
 
-    Only the *pool constructor* runs under the availability guard:
-    start-up failures (restricted environments without process spawning)
-    fall back to the serial path.  Exceptions raised by ``fn`` itself —
-    including ``OSError`` from a task — always propagate; silently
-    re-running chunks serially would mask real errors and double-execute
-    side-effectful work (e.g. double-simulate litho clips).
+    Exceptions raised by ``fn`` — including ``OSError`` from a task —
+    always propagate; silently re-running chunks serially would mask
+    real errors and double-execute side-effectful work (e.g.
+    double-simulate litho clips).
 
     A watchdog ``timeout`` is the one sanctioned degradation: a chunk
     that never *answers* (as opposed to raising) is cancelled at the
@@ -92,16 +89,7 @@ def _iter_chunks(
     if workers <= 0 or len(parts) <= 1:
         yield from (fn(part) for part in parts)
         return
-    pool_cls = (
-        ProcessPoolExecutor if executor == "process" else ThreadPoolExecutor
-    )
-    try:
-        pool = pool_cls(max_workers=min(workers, len(parts)))
-    except (OSError, PermissionError):  # pool unavailable -> serial fallback
-        pool = None
-    if pool is None:
-        yield from (fn(part) for part in parts)
-        return
+    pool = ThreadPoolExecutor(max_workers=min(workers, len(parts)))
     hung = False
     try:
         futures = [pool.submit(fn, part) for part in parts]
@@ -135,16 +123,14 @@ def imap_chunks(
     items: Sequence[T],
     chunk_size: int,
     workers: int = 0,
-    executor: str = "thread",
     timeout: Optional[float] = None,
     on_timeout: Optional[Callable[[int], None]] = None,
 ) -> Iterator[R]:
     """Apply ``fn`` to every chunk of ``items``: an iterator of
     per-chunk results, in input order.
 
-    ``workers == 0`` (or a single chunk) runs in-process with no
-    executor; pool start-up failures fall back to the serial path, but
-    task exceptions propagate (see :func:`_iter_chunks`).  Results
+    ``workers == 0`` (or a single chunk) runs on the calling thread with
+    no pool; task exceptions propagate (see :func:`_iter_chunks`).  Results
     arrive as chunks complete, so callers can commit partial progress
     (e.g. cache litho verdicts per chunk); when ``fn`` raises for chunk
     ``N``, the exception surfaces after chunks ``0..N-1`` were already
@@ -155,7 +141,4 @@ def imap_chunks(
     if timeout is not None and timeout <= 0:
         raise ValueError(f"timeout must be positive or None, got {timeout}")
     parts = chunked(items, chunk_size)
-    if parts and workers > 0 and len(parts) > 1:
-        if executor not in ("thread", "process"):
-            raise ValueError(f"unknown executor {executor!r}")
-    return _iter_chunks(fn, parts, workers, executor, timeout, on_timeout)
+    return _iter_chunks(fn, parts, workers, timeout, on_timeout)

@@ -19,8 +19,7 @@ plane this module replaces.  A :class:`StreamScanner` walks a
   (bucket queries, content digests) concurrently; the compute step
   (feature encoding / inference / litho labeling) is serialized under
   one lock and parallelizes *internally* over the data-plane's chunk
-  pool (``DataPlaneConfig.workers``) — that is where process-level
-  parallelism lives.
+  thread pool (``DataPlaneConfig.workers``).
 * **resume + incremental re-detection** — with a ``state_dir``, every
   finished tile persists its verdicts (:class:`TileVerdictStore`) and
   progress (:class:`~repro.engine.checkpoint.ScanCursor`).  Both replay
@@ -84,19 +83,12 @@ class StreamConfig:
         Work-queue/worker count of the :class:`ShardScheduler`.  ``1``
         (default) scans tiles in lattice order on the calling thread's
         schedule — fully deterministic event order.
-    drop_empty:
-        Skip windows with no geometry (their lattice index is never
-        reused, so verdict indices are stable either way).
     state_dir:
         Directory for the verdict store + scan cursor; ``None``
         disables persistence (and with it resume/incremental replay).
     incremental:
         Replay tiles whose stored digest matches the current geometry.
         ``False`` forces a full re-score even with state present.
-    cursor_every:
-        Persist the cursor every this many completed tiles (1 = after
-        every tile; larger values trade re-scan work after a crash for
-        fewer small writes).
     threshold:
         Calibrated-probability cutoff above which a clip is flagged
         hotspot (the paper detects at 0.5).
@@ -104,10 +96,8 @@ class StreamConfig:
 
     tile_clips: int = 8
     shards: int = 1
-    drop_empty: bool = True
     state_dir: str | None = None
     incremental: bool = True
-    cursor_every: int = 1
     threshold: float = 0.5
 
     def __post_init__(self) -> None:
@@ -117,10 +107,6 @@ class StreamConfig:
             )
         if self.shards <= 0:
             raise ValueError(f"shards must be positive, got {self.shards}")
-        if self.cursor_every <= 0:
-            raise ValueError(
-                f"cursor_every must be positive, got {self.cursor_every}"
-            )
         if not 0.0 < self.threshold < 1.0:
             raise ValueError(
                 f"threshold must be in (0, 1), got {self.threshold}"
@@ -362,8 +348,7 @@ class StreamScanner:
         The tiled clip-window lattice to scan.
     plane:
         Cache-aware batch extractor; its :class:`DataPlaneConfig`
-        decides chunking and process-level parallelism of the compute
-        step.
+        decides chunking and thread-pool width of the compute step.
     score_fn:
         ``(N, C, H, W)`` tensors → ``(N,)`` hotspot probabilities
         (build one from a trained classifier with
@@ -427,7 +412,6 @@ class StreamScanner:
                         clips,
                         chunk_size=dp.chunk_size,
                         workers=dp.workers,
-                        executor=dp.executor,
                         timeout=dp.task_timeout,
                     )
                 ]
@@ -447,9 +431,7 @@ class StreamScanner:
         store: TileVerdictStore | None,
     ) -> _TileResult:
         started = time.perf_counter()
-        clips = list(
-            self.grid.iter_clips(layout, tile, self.config.drop_empty)
-        )
+        clips = list(self.grid.iter_clips(layout, tile))
         digest = TileGrid.digest_clips(clips)
 
         if (
@@ -518,20 +500,15 @@ class StreamScanner:
             )
 
         results: list[_TileResult] = []
-        unsaved = 0
 
         def on_result(tile: Tile, result: _TileResult) -> None:
             # scheduler-serialized: cursor flushes and the results list
             # are safe here and nowhere else off the main thread (the
             # bus serializes its own dispatch)
-            nonlocal unsaved
             results.append(result)
             if cursor is not None:
                 cursor.mark(tile.key, result.digest)
-                unsaved += 1
-                if unsaved >= cfg.cursor_every:
-                    cursor.save()
-                    unsaved = 0
+                cursor.save()
             if self.bus is not None:
                 self.bus.emit(
                     "tile_scanned",

@@ -7,7 +7,7 @@ from .geometry import Rect, bounding_box, merge_touching, total_area
 from .glp import load_layout, save_layout
 from .layout import Layout
 from .polygon import RectilinearPolygon
-from .raster import rasterize, rasterize_binary, rasterize_stack
+from .raster import rasterize, rasterize_stack
 from .tiles import Tile, TileGrid
 
 __all__ = [
@@ -23,7 +23,6 @@ __all__ = [
     "Tile",
     "TileGrid",
     "rasterize",
-    "rasterize_binary",
     "rasterize_stack",
     "save_layout",
     "load_layout",

@@ -26,7 +26,7 @@ import numpy as np
 
 from .geometry import Rect
 
-__all__ = ["rasterize", "rasterize_binary", "rasterize_stack"]
+__all__ = ["rasterize", "rasterize_stack"]
 
 #: clips per pass of :func:`rasterize_stack`, so its per-pixel
 #: temporaries stay bounded however many clips a stack holds.  Passes
@@ -160,8 +160,3 @@ def _paint_centres(
     row1 = min(int(np.ceil(rect.y1 / px_h - 0.5)), grid)
     if col0 < col1 and row0 < row1:
         image[row0:row1, col0:col1] = 1.0
-
-
-def rasterize_binary(rects, window_size: tuple[int, int], grid: int) -> np.ndarray:
-    """Convenience wrapper returning a hard 0/1 mask (centre sampling)."""
-    return rasterize(rects, window_size, grid, antialias=False)

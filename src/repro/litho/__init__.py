@@ -2,7 +2,6 @@
 detection, process-window simulation, and the counting labeler that acts
 as the expensive labeling oracle of the PSHD problem."""
 
-from .contour import cd_uniformity, contour_crossings, measure_cd
 from .drc import DRCRules, DRCViolation, check_clip, drc_screen
 from .epe import Defect, edge_placement_error, find_defects
 from .faults import FlakySimulator, TransientSimulationError
@@ -12,14 +11,11 @@ from .optics import OpticalModel, duv_model, euv_model
 from .process_window import ProcessWindow, analyze_process_window
 from .resist import ThresholdResist
 from .simulator import LithoResult, LithoSimulator, ProcessCorner, default_corners
-from .socs import SOCSModel, gauss_hermite_kernel
 
 __all__ = [
     "OpticalModel",
     "duv_model",
     "euv_model",
-    "SOCSModel",
-    "gauss_hermite_kernel",
     "ThresholdResist",
     "Defect",
     "find_defects",
@@ -43,7 +39,4 @@ __all__ = [
     "OPCResult",
     "optimize_mask",
     "print_error",
-    "contour_crossings",
-    "measure_cd",
-    "cd_uniformity",
 ]

@@ -12,8 +12,8 @@ Caching is content-addressed through
 equal geometry share a verdict regardless of their ``index``, absolute
 placement, or which extraction pass produced them.  The batched
 :meth:`LithoLabeler.label_batch` path additionally dedupes a whole
-request before simulating and can fan simulation out over a
-``concurrent.futures`` pool.
+request before simulating and can fan simulation out over a thread
+pool.
 
 Robustness: a simulator raising
 :class:`~repro.litho.faults.TransientSimulationError` is retried per
@@ -84,7 +84,7 @@ def _simulate_clip(
 def _simulate_chunk(
     clips: list[Clip], simulator: LithoSimulator, retry: RetryPolicy
 ) -> tuple[list[int], int]:
-    """Simulate one chunk (module-level so process pools can pickle it).
+    """Simulate one chunk of clips under ``retry``.
 
     Returns ``(verdicts, total_retries)``; retries happen per clip, so
     a transient failure never re-simulates clips that already answered.
@@ -172,13 +172,12 @@ class LithoLabeler:
         clips,
         chunk_size: int = 16,
         workers: int = 0,
-        executor: str = "thread",
         timeout: float | None = None,
     ) -> list[int]:
         """Verdicts for many clips with request-level deduplication.
 
         Distinct uncached geometries are simulated once each — in chunks,
-        optionally over a thread/process pool — then every position is
+        optionally over a thread pool — then every position is
         served from the cache.  Charges ``query_count`` only for the
         simulated geometries, exactly like repeated :meth:`label` calls
         would.
@@ -211,7 +210,6 @@ class LithoLabeler:
             list(pending.values()),
             chunk_size=chunk_size,
             workers=workers,
-            executor=executor,
             timeout=timeout,
             on_timeout=on_timeout(self.bus, "label", timeout),
         )

@@ -8,24 +8,10 @@ dependency beyond numpy.  See DESIGN.md §2 for the substitution rationale.
 
 from .im2col import col2im, conv_output_size, im2col
 from .initializers import get_initializer
-from .layers import (
-    AvgPool2D,
-    BatchNorm,
-    Conv2D,
-    Dense,
-    Dropout,
-    Flatten,
-    GlobalAveragePool2D,
-    Layer,
-    LeakyReLU,
-    MaxPool2D,
-    ReLU,
-    Sigmoid,
-    Tanh,
-)
+from .layers import BatchNorm, Conv2D, Dense, Flatten, Layer, MaxPool2D, ReLU
 from .losses import SoftmaxCrossEntropy, log_softmax, softmax
 from .network import Sequential
-from .optim import SGD, Adam, Momentum, Optimizer
+from .optim import Adam, Optimizer
 from .runtime import (
     PRECISION_MODES,
     ComputeRuntime,
@@ -45,22 +31,14 @@ __all__ = [
     "Dense",
     "Conv2D",
     "MaxPool2D",
-    "AvgPool2D",
-    "GlobalAveragePool2D",
     "Flatten",
     "ReLU",
-    "LeakyReLU",
-    "Sigmoid",
-    "Tanh",
-    "Dropout",
     "BatchNorm",
     "softmax",
     "log_softmax",
     "SoftmaxCrossEntropy",
     "Sequential",
     "Optimizer",
-    "SGD",
-    "Momentum",
     "Adam",
     "PRECISION_MODES",
     "PrecisionPolicy",

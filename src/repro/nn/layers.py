@@ -5,7 +5,8 @@ cache in ``backward``.  Parameters and their gradients are exposed through
 ``params()`` / ``grads()`` so optimizers can update them in place.
 
 Layers distinguish training and inference through the ``train`` flag on
-``forward`` (Dropout and BatchNorm change behaviour; the rest ignore it).
+``forward`` (BatchNorm changes behaviour; the rest cache for ``backward``
+only when it is set).
 """
 
 from __future__ import annotations
@@ -28,14 +29,8 @@ __all__ = [
     "Dense",
     "Conv2D",
     "MaxPool2D",
-    "AvgPool2D",
-    "GlobalAveragePool2D",
     "Flatten",
     "ReLU",
-    "LeakyReLU",
-    "Sigmoid",
-    "Tanh",
-    "Dropout",
     "BatchNorm",
 ]
 
@@ -62,9 +57,6 @@ def _params_as(layer, dtype, runtime: ComputeRuntime | None):
 class Layer:
     """Base class: stateless identity layer."""
 
-    #: human-readable layer kind used in reprs and serialization
-    kind = "identity"
-
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
         del train
         return x
@@ -84,18 +76,12 @@ class Layer:
         """Non-trainable buffers that must survive save/load."""
         return {}
 
-    def output_dim(self, input_dim):
-        """Propagate a symbolic input shape (without batch axis)."""
-        return input_dim
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}()"
 
 
 class Dense(Layer):
     """Fully-connected layer ``y = x W + b``."""
-
-    kind = "dense"
 
     def __init__(
         self,
@@ -155,17 +141,12 @@ class Dense(Layer):
     def grads(self) -> dict[str, np.ndarray]:
         return {"weight": self.grad_weight, "bias": self.grad_bias}
 
-    def output_dim(self, input_dim):
-        return (self.out_features,)
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Dense({self.in_features}, {self.out_features})"
 
 
 class Conv2D(Layer):
     """2-D convolution over NCHW tensors, implemented with im2col."""
-
-    kind = "conv2d"
 
     def __init__(
         self,
@@ -301,17 +282,6 @@ class Conv2D(Layer):
     def grads(self) -> dict[str, np.ndarray]:
         return {"weight": self.grad_weight, "bias": self.grad_bias}
 
-    def output_dim(self, input_dim):
-        c, h, w = input_dim
-        if c != self.in_channels:
-            raise ValueError(f"expected {self.in_channels} channels, got {c}")
-        k, s, p = self.kernel_size, self.stride, self.pad
-        return (
-            self.out_channels,
-            conv_output_size(h, k, s, p),
-            conv_output_size(w, k, s, p),
-        )
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"Conv2D({self.in_channels}, {self.out_channels}, "
@@ -321,8 +291,6 @@ class Conv2D(Layer):
 
 class MaxPool2D(Layer):
     """Max pooling with square window; window must tile the input."""
-
-    kind = "maxpool2d"
 
     def __init__(self, pool_size: int = 2) -> None:
         if pool_size <= 0:
@@ -380,84 +348,12 @@ class MaxPool2D(Layer):
         ).transpose(0, 1, 2, 4, 3, 5)
         return grad
 
-    def output_dim(self, input_dim):
-        c, h, w = input_dim
-        k = self.pool_size
-        return (c, conv_output_size(h, k, k, 0), conv_output_size(w, k, k, 0))
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"MaxPool2D({self.pool_size})"
 
 
-class AvgPool2D(Layer):
-    """Average pooling with a square window; window must tile the input."""
-
-    kind = "avgpool2d"
-
-    def __init__(self, pool_size: int = 2) -> None:
-        if pool_size <= 0:
-            raise ValueError("pool_size must be positive")
-        self.pool_size = pool_size
-        self._input_shape: tuple[int, int, int, int] | None = None
-
-    def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
-        n, c, h, w = x.shape
-        k = self.pool_size
-        if h % k or w % k:
-            raise ValueError(
-                f"pool size {k} does not tile input {h}x{w}"
-            )
-        if train:
-            self._input_shape = x.shape
-        return x.reshape(n, c, h // k, k, w // k, k).mean(axis=(3, 5))
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._input_shape is None:
-            raise RuntimeError("backward called without a training forward pass")
-        n, c, h, w = self._input_shape
-        k = self.pool_size
-        grad = grad_out[:, :, :, None, :, None] / float(k * k)
-        grad = np.broadcast_to(grad, (n, c, h // k, k, w // k, k))
-        return grad.reshape(n, c, h, w).copy()
-
-    def output_dim(self, input_dim):
-        c, h, w = input_dim
-        k = self.pool_size
-        return (c, h // k, w // k)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"AvgPool2D({self.pool_size})"
-
-
-class GlobalAveragePool2D(Layer):
-    """Average each channel's spatial plane down to one value."""
-
-    kind = "gap2d"
-
-    def __init__(self) -> None:
-        self._input_shape: tuple[int, int, int, int] | None = None
-
-    def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
-        if train:
-            self._input_shape = x.shape
-        return x.mean(axis=(2, 3))
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._input_shape is None:
-            raise RuntimeError("backward called without a training forward pass")
-        n, c, h, w = self._input_shape
-        grad = grad_out[:, :, None, None] / float(h * w)
-        return np.broadcast_to(grad, (n, c, h, w)).copy()
-
-    def output_dim(self, input_dim):
-        c, _, _ = input_dim
-        return (c,)
-
-
 class Flatten(Layer):
     """Collapse all non-batch axes into one."""
-
-    kind = "flatten"
 
     def __init__(self) -> None:
         self._input_shape: tuple[int, ...] | None = None
@@ -472,13 +368,8 @@ class Flatten(Layer):
             raise RuntimeError("backward called without a training forward pass")
         return grad_out.reshape(self._input_shape)
 
-    def output_dim(self, input_dim):
-        return (int(np.prod(input_dim)),)
-
 
 class ReLU(Layer):
-    kind = "relu"
-
     def __init__(self) -> None:
         self._mask: np.ndarray | None = None
 
@@ -503,98 +394,11 @@ class ReLU(Layer):
         return grad_out * self._mask
 
 
-class LeakyReLU(Layer):
-    kind = "leaky_relu"
-
-    def __init__(self, alpha: float = 0.01) -> None:
-        self.alpha = alpha
-        self._mask: np.ndarray | None = None
-
-    def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
-        mask = x > 0
-        if train:
-            self._mask = mask
-        return np.where(mask, x, self.alpha * x)
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._mask is None:
-            raise RuntimeError("backward called without a training forward pass")
-        return grad_out * np.where(self._mask, 1.0, self.alpha)
-
-
-class Sigmoid(Layer):
-    kind = "sigmoid"
-
-    def __init__(self) -> None:
-        self._out: np.ndarray | None = None
-
-    def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
-        out = np.empty_like(x, dtype=np.float64)
-        pos = x >= 0
-        out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-        expx = np.exp(x[~pos])
-        out[~pos] = expx / (1.0 + expx)
-        if train:
-            self._out = out
-        return out
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._out is None:
-            raise RuntimeError("backward called without a training forward pass")
-        return grad_out * self._out * (1.0 - self._out)
-
-
-class Tanh(Layer):
-    kind = "tanh"
-
-    def __init__(self) -> None:
-        self._out: np.ndarray | None = None
-
-    def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
-        out = np.tanh(x)
-        if train:
-            self._out = out
-        return out
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._out is None:
-            raise RuntimeError("backward called without a training forward pass")
-        return grad_out * (1.0 - self._out**2)
-
-
-class Dropout(Layer):
-    """Inverted dropout: identity at inference, scaled mask during training."""
-
-    kind = "dropout"
-
-    def __init__(self, rate: float, rng: np.random.Generator | None = None) -> None:
-        if not 0.0 <= rate < 1.0:
-            raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-        self.rate = rate
-        self._rng = rng if rng is not None else np.random.default_rng(0)
-        self._mask: np.ndarray | None = None
-
-    def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
-        if not train or self.rate == 0.0:
-            self._mask = None if not train else np.ones_like(x)
-            return x
-        keep = 1.0 - self.rate
-        self._mask = (self._rng.random(x.shape) < keep) / keep
-        return x * self._mask
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._mask is None:
-            raise RuntimeError("backward called without a training forward pass")
-        return grad_out * self._mask
-
-
 class BatchNorm(Layer):
     """Batch normalization over the feature axis of 2-D inputs.
 
     For 4-D inputs the statistics are taken per channel over (N, H, W).
     """
-
-    kind = "batchnorm"
 
     def __init__(self, num_features: int, momentum: float = 0.9, eps: float = 1e-5):
         self.num_features = num_features

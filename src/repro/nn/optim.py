@@ -4,24 +4,23 @@ Optimizers hold per-parameter slot state keyed by ``(layer index, name)``
 and update parameter arrays **in place**, so the network's layers always
 see the latest weights without re-wiring references.
 
-Slot state is serializable: :meth:`Optimizer.get_state` /
-:meth:`Optimizer.set_state` round-trip the moment buffers (Momentum's
-velocity, Adam's first/second moments and per-slot step counts), and
-:func:`flatten_state` / :func:`unflatten_state` convert between the
-nested slot-keyed form and a flat ``str -> ndarray`` mapping suitable
-for ``.npz`` archives.  Restoring a checkpointed model without this
+Slot state is serializable: :meth:`Adam.get_state` /
+:meth:`Adam.set_state` round-trip the first/second moments and the
+per-slot step counts, and :func:`flatten_state` /
+:func:`unflatten_state` convert between the nested slot-keyed form and
+a flat ``str -> ndarray`` mapping suitable for ``.npz`` archives.  Restoring a checkpointed model without this
 state would silently restart Adam with cold moments and wrong bias
 correction — training would continue, but not on the same trajectory.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = [
     "Optimizer",
-    "SGD",
-    "Momentum",
     "Adam",
     "encode_slot_key",
     "decode_slot_key",
@@ -74,13 +73,19 @@ def unflatten_state(flat: dict) -> dict:
 
 
 class Optimizer:
-    """Base optimizer over a list of (params, grads) dict pairs."""
+    """Base optimizer: weight decay, then one :meth:`_update` per slot."""
 
     def __init__(self, lr: float = 0.01, weight_decay: float = 0.0) -> None:
-        if lr <= 0:
-            raise ValueError(f"learning rate must be positive, got {lr}")
-        if weight_decay < 0:
-            raise ValueError(f"weight decay must be non-negative, got {weight_decay}")
+        # each test is written so that NaN fails it
+        if not (lr > 0 and math.isfinite(lr)):
+            raise ValueError(
+                f"learning rate must be positive and finite, got {lr}"
+            )
+        if not (weight_decay >= 0 and math.isfinite(weight_decay)):
+            raise ValueError(
+                "weight decay must be non-negative and finite, got "
+                f"{weight_decay}"
+            )
         self.lr = lr
         self.weight_decay = weight_decay
 
@@ -94,61 +99,6 @@ class Optimizer:
 
     def _update(self, key, param: np.ndarray, grad: np.ndarray) -> None:
         raise NotImplementedError
-
-    # ------------------------------------------------------------------
-    # slot-state serialization
-    # ------------------------------------------------------------------
-    def get_state(self) -> dict:
-        """Copy of the per-slot moment state (empty when stateless)."""
-        return {}
-
-    def set_state(self, state: dict) -> None:
-        """Restore state captured by :meth:`get_state`."""
-        if state:
-            raise ValueError(
-                f"{type(self).__name__} is stateless but got state slots "
-                f"{sorted(state)}"
-            )
-
-
-class SGD(Optimizer):
-    """Vanilla stochastic gradient descent."""
-
-    def _update(self, key, param: np.ndarray, grad: np.ndarray) -> None:
-        param -= self.lr * grad
-
-
-class Momentum(Optimizer):
-    """SGD with classical momentum."""
-
-    def __init__(
-        self, lr: float = 0.01, momentum: float = 0.9, weight_decay: float = 0.0
-    ) -> None:
-        super().__init__(lr, weight_decay)
-        if not 0.0 <= momentum < 1.0:
-            raise ValueError(f"momentum must be in [0, 1), got {momentum}")
-        self.momentum = momentum
-        self._velocity: dict = {}
-
-    def _update(self, key, param: np.ndarray, grad: np.ndarray) -> None:
-        v = self._velocity.get(key)
-        if v is None:
-            v = np.zeros_like(param)
-        v = self.momentum * v - self.lr * grad
-        self._velocity[key] = v
-        param += v
-
-    def get_state(self) -> dict:
-        return {"velocity": {k: v.copy() for k, v in self._velocity.items()}}
-
-    def set_state(self, state: dict) -> None:
-        extra = set(state) - {"velocity"}
-        if extra:
-            raise ValueError(f"unknown Momentum state slots {sorted(extra)}")
-        self._velocity = {
-            k: np.array(v, dtype=np.float64)
-            for k, v in state.get("velocity", {}).items()
-        }
 
 
 class Adam(Optimizer):
@@ -165,6 +115,8 @@ class Adam(Optimizer):
         super().__init__(lr, weight_decay)
         if not 0.0 <= beta1 < 1.0 or not 0.0 <= beta2 < 1.0:
             raise ValueError("betas must be in [0, 1)")
+        if not (eps > 0 and math.isfinite(eps)):
+            raise ValueError(f"eps must be positive and finite, got {eps}")
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps

@@ -62,6 +62,9 @@ _ERROR_MAP = (
 #: waited all of it would answer ``timeout`` after the client gave up.
 _QUEUE_SHARE = 0.9
 
+#: listen(2) backlog of the accept queue
+_ACCEPT_BACKLOG = 64
+
 
 @dataclass(frozen=True)
 class TransportConfig:
@@ -78,8 +81,6 @@ class TransportConfig:
     read_timeout_s: float = 30.0
     #: per-connection write deadline in seconds
     write_timeout_s: float = 30.0
-    #: listen(2) backlog of the accept queue
-    accept_backlog: int = 64
 
     def __post_init__(self) -> None:
         if not 0 <= self.port <= 65535:
@@ -97,10 +98,6 @@ class TransportConfig:
             raise ValueError(
                 f"write_timeout_s must be positive, got "
                 f"{self.write_timeout_s}"
-            )
-        if self.accept_backlog <= 0:
-            raise ValueError(
-                f"accept_backlog must be positive, got {self.accept_backlog}"
             )
 
 
@@ -163,7 +160,7 @@ class SocketTransport:
         # crash/SIGKILL restart (the kill-and-reconnect guarantee)
         self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         self._listener.bind((self.config.host, self.config.port))
-        self._listener.listen(self.config.accept_backlog)
+        self._listener.listen(_ACCEPT_BACKLOG)
         #: the bound ``(host, port)`` — resolves ``port=0`` requests
         self.address = self._listener.getsockname()
         self._accept_thread = threading.Thread(

@@ -46,6 +46,9 @@ class TestDetectValidation:
             # cells, coefficient capacity) die before any labeling
             ["--grid", "100"],
             ["--grid", "36"],
+            # float() parses these; a timeout must not reach the socket
+            ["--stage-timeout", "nan"],
+            ["--stage-timeout", "inf"],
         ],
     )
     def test_rejects_non_positive_values(self, flags, capsys):
@@ -111,13 +114,23 @@ class TestServeValidation:
             ["--write-timeout", "0"],
             ["--grid", "100"],
             ["--grid", "36"],
+            # socket.settimeout raises ValueError on NaN and
+            # OverflowError on infinity
+            ["--read-timeout", "nan"],
+            ["--read-timeout", "inf"],
+            ["--write-timeout", "nan"],
+            ["--write-timeout", "inf"],
+            ["--threshold", "nan"],
+            ["--threshold", "inf"],
         ],
     )
     def test_rejects_bad_values(self, flags, capsys):
         with pytest.raises(SystemExit) as exc:
             build_serve_parser().parse_args(["layout.glp", *flags])
         assert exc.value.code == 2
-        assert flags[0] in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert flags[0] in err
+        assert "expected a" in err
 
     def test_defaults_parse(self):
         args = build_serve_parser().parse_args(["layout.glp"])
@@ -148,13 +161,17 @@ class TestQueryValidation:
             ["--clips", "0"],
             ["--requests", "0"],
             ["--offset", "-1"],
+            ["--timeout", "nan"],
+            ["--timeout", "inf"],
         ],
     )
     def test_rejects_bad_values(self, flags, capsys):
         with pytest.raises(SystemExit) as exc:
             build_query_parser().parse_args(["layout.glp", *flags])
         assert exc.value.code == 2
-        assert flags[0] in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert flags[0] in err
+        assert "expected a" in err
 
     def test_defaults_parse(self):
         args = build_query_parser().parse_args(["layout.glp"])

@@ -58,18 +58,11 @@ class TestBitIdentity:
     def test_thread_pool_equals_eager(self, clips, eager):
         plane = BatchFeatureExtractor(
             FeatureExtractor(grid=96),
-            DataPlaneConfig(chunk_size=4, workers=3, executor="thread"),
+            DataPlaneConfig(chunk_size=4, workers=3),
         )
         batch = plane.extract(clips)
         np.testing.assert_array_equal(batch.tensors, eager[0])
         np.testing.assert_array_equal(batch.flats, eager[1])
-
-    def test_process_pool_equals_eager(self, clips, eager):
-        plane = BatchFeatureExtractor(
-            FeatureExtractor(grid=96),
-            DataPlaneConfig(chunk_size=6, workers=2, executor="process"),
-        )
-        np.testing.assert_array_equal(plane.encode_batch(clips), eager[0])
 
     def test_encode_and_flat_entrypoints(self, clips, eager):
         plane = BatchFeatureExtractor(
@@ -169,88 +162,11 @@ class TestConfig:
     def test_defaults_are_safe(self):
         cfg = DataPlaneConfig()
         assert cfg.workers == 0  # in-process unless asked
-        assert cfg.executor == "thread"
 
     def test_rejects_bad_values(self):
         with pytest.raises(ValueError, match="chunk_size"):
             DataPlaneConfig(chunk_size=0)
         with pytest.raises(ValueError, match="workers"):
             DataPlaneConfig(workers=-1)
-        with pytest.raises(ValueError, match="executor"):
-            DataPlaneConfig(executor="fiber")
         with pytest.raises(ValueError, match="memory_cache_items"):
             DataPlaneConfig(memory_cache_items=-1)
-
-
-class TestIterExtract:
-    def test_batches_bit_identical_to_eager(self, clips, eager):
-        plane = BatchFeatureExtractor(
-            FeatureExtractor(grid=96), DataPlaneConfig(chunk_size=4)
-        )
-        got_tensors = []
-        got_flats = []
-        for batch_clips, batch in plane.iter_extract(
-            iter(clips), batch_clips=5
-        ):
-            assert len(batch.tensors) == len(batch_clips)
-            got_tensors.append(batch.tensors)
-            got_flats.append(batch.flats)
-        np.testing.assert_array_equal(
-            np.concatenate(got_tensors), eager[0]
-        )
-        np.testing.assert_array_equal(
-            np.concatenate(got_flats), eager[1]
-        )
-
-    def test_batch_sizes_are_bounded(self, clips):
-        plane = BatchFeatureExtractor(
-            FeatureExtractor(grid=96), DataPlaneConfig(chunk_size=4)
-        )
-        sizes = [
-            len(batch_clips)
-            for batch_clips, _ in plane.iter_extract(clips, batch_clips=5)
-        ]
-        assert sizes == [5, 5, 5, 2]  # 17 clips, bounded batches
-
-    def test_default_batch_covers_pool_width(self, clips):
-        plane = BatchFeatureExtractor(
-            FeatureExtractor(grid=96),
-            DataPlaneConfig(chunk_size=4, workers=2),
-        )
-        sizes = [
-            len(batch_clips) for batch_clips, _ in plane.iter_extract(clips)
-        ]
-        assert sizes == [8, 8, 1]  # chunk_size * workers per batch
-
-    def test_consumes_lazy_iterators(self, clips):
-        plane = BatchFeatureExtractor(FeatureExtractor(grid=96))
-
-        def generator():
-            yield from clips[:3]
-
-        batches = list(plane.iter_extract(generator(), batch_clips=2))
-        assert [len(b) for b, _ in batches] == [2, 1]
-
-    def test_each_batch_emits_its_own_event(self, clips):
-        bus = EventBus()
-        log = bus.subscribe(EventLog())
-        plane = BatchFeatureExtractor(
-            FeatureExtractor(grid=96), DataPlaneConfig(chunk_size=4),
-            bus=bus,
-        )
-        list(plane.iter_extract(clips, batch_clips=5))
-        events = log.of_kind("features_extracted")
-        assert len(events) == 4
-        assert [e.payload["n_clips"] for e in events] == [5, 5, 5, 2]
-
-    def test_invalid_batch_clips_rejected(self, clips):
-        plane = BatchFeatureExtractor(FeatureExtractor(grid=96))
-        with pytest.raises(ValueError):
-            list(plane.iter_extract(clips, batch_clips=0))
-
-    def test_streaming_shares_the_cache(self, clips):
-        plane = BatchFeatureExtractor(FeatureExtractor(grid=96))
-        list(plane.iter_extract(clips, batch_clips=5))
-        misses_after_stream = plane.cache.stats.misses
-        plane.extract(clips)  # eager call over the same geometry
-        assert plane.cache.stats.misses == misses_after_stream

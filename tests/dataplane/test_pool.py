@@ -36,17 +36,7 @@ class TestMapChunks:
     def test_threaded_matches_serial_in_order(self):
         items = list(range(20))
         serial = list(imap_chunks(_total, items, chunk_size=4, workers=0))
-        pooled = list(imap_chunks(
-            _total, items, chunk_size=4, workers=3, executor="thread"
-        ))
-        assert pooled == serial
-
-    def test_process_pool_matches_serial_in_order(self):
-        items = list(range(20))
-        serial = list(imap_chunks(_total, items, chunk_size=4, workers=0))
-        pooled = list(imap_chunks(
-            _total, items, chunk_size=4, workers=2, executor="process"
-        ))
+        pooled = list(imap_chunks(_total, items, chunk_size=4, workers=3))
         assert pooled == serial
 
     def test_single_chunk_skips_pool(self):
@@ -57,11 +47,6 @@ class TestMapChunks:
 
     def test_empty_items(self):
         assert list(imap_chunks(_total, [], chunk_size=4, workers=2)) == []
-
-    def test_unknown_executor_rejected(self):
-        with pytest.raises(ValueError, match="executor"):
-            list(imap_chunks(_total, list(range(8)), chunk_size=2,
-                             workers=2, executor="fiber"))
 
 
 _CALL_LOG: list[tuple[int, ...]] = []
@@ -78,8 +63,7 @@ class TestTaskExceptionPropagation:
     """Regression: task-raised OSError must propagate, never trigger the
     serial fallback (which would silently re-run every chunk)."""
 
-    @pytest.mark.parametrize("executor", ["thread"])
-    def test_task_oserror_propagates(self, executor):
+    def test_task_oserror_propagates(self):
         _CALL_LOG.clear()
         with pytest.raises(OSError, match="disk gone"):
             list(imap_chunks(
@@ -87,7 +71,6 @@ class TestTaskExceptionPropagation:
                 list(range(8)),
                 chunk_size=2,
                 workers=2,
-                executor=executor,
             ))
 
     def test_chunks_not_rerun_after_task_failure(self):
@@ -98,7 +81,6 @@ class TestTaskExceptionPropagation:
                 list(range(8)),
                 chunk_size=2,
                 workers=2,
-                executor="thread",
             ))
         # the old fallback re-ran every chunk serially after the failure,
         # doubling side effects; each chunk must now run at most once
@@ -165,7 +147,6 @@ class TestWatchdog:
                 list(range(8)),
                 chunk_size=2,
                 workers=2,
-                executor="thread",
                 timeout=0.5,
                 on_timeout=fired.append,
             ))
@@ -198,7 +179,7 @@ class TestWatchdog:
         items = list(range(20))
         fired = []
         pooled = list(imap_chunks(
-            _total, items, chunk_size=4, workers=3, executor="thread",
+            _total, items, chunk_size=4, workers=3,
             timeout=30.0, on_timeout=fired.append,
         ))
         assert pooled == list(imap_chunks(_total, items, chunk_size=4))

@@ -273,6 +273,4 @@ class TestStreamConfig:
         with pytest.raises(ValueError):
             StreamConfig(shards=0)
         with pytest.raises(ValueError):
-            StreamConfig(cursor_every=0)
-        with pytest.raises(ValueError):
             StreamConfig(threshold=1.5)

@@ -327,9 +327,9 @@ class TestLithoLabeler:
         assert event.payload["deduped"] == 1
         assert event.payload["simulated_seconds"] == 10.0
 
-    def test_label_batch_over_process_pool_matches_serial(self):
-        """Chunks are pickled to worker processes: the simulator and
-        ``_simulate_chunk`` must survive the trip with equal verdicts."""
+    def test_label_batch_over_thread_pool_matches_serial(self):
+        """Chunks of the real simulator run on pool threads: verdicts,
+        their order and the meter equal the serial path's."""
         clips = [  # lines 20..130 nm wide: the narrow ones fail
             make_clip([Rect(100, 590 - 5 * i, 1100, 610 + 5 * i)], idx=i)
             for i in range(12)
@@ -337,9 +337,7 @@ class TestLithoLabeler:
         serial = self._labeler()
         pooled = self._labeler()
         expected = serial.label_batch(clips, chunk_size=4)
-        labels = pooled.label_batch(
-            clips, chunk_size=4, workers=2, executor="process"
-        )
+        labels = pooled.label_batch(clips, chunk_size=4, workers=2)
         assert labels == expected
         assert 0 < sum(expected) < len(clips)
         assert pooled.query_count == serial.query_count == len(clips)

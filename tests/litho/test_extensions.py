@@ -1,4 +1,4 @@
-"""Tests for the litho extensions: SOCS optics, process windows, DRC."""
+"""Tests for the litho extensions: process windows and DRC."""
 
 import numpy as np
 import pytest
@@ -8,99 +8,15 @@ from repro.litho import (
     DRCRules,
     LithoSimulator,
     ProcessWindow,
-    SOCSModel,
     analyze_process_window,
     check_clip,
     drc_screen,
-    duv_model,
-    gauss_hermite_kernel,
 )
 
 
 def make_clip(rects, size=1200, margin=300, idx=0):
     window = Rect(0, 0, size, size)
     return Clip(window, window.expanded(-margin), rects=rects, index=idx)
-
-
-class TestGaussHermiteKernel:
-    def test_order_zero_is_gaussian(self):
-        kernel = gauss_hermite_kernel(0, 0, sigma_px=2.0, radius=8)
-        assert kernel.shape == (17, 17)
-        # symmetric, positive, peaked at centre
-        np.testing.assert_allclose(kernel, kernel[::-1, ::-1])
-        assert kernel.min() >= 0
-        assert kernel[8, 8] == kernel.max()
-
-    def test_l2_normalized(self):
-        for orders in ((0, 0), (1, 0), (2, 1)):
-            kernel = gauss_hermite_kernel(*orders, sigma_px=1.5, radius=6)
-            assert (kernel**2).sum() == pytest.approx(1.0)
-
-    def test_higher_orders_have_sign_changes(self):
-        kernel = gauss_hermite_kernel(1, 0, sigma_px=2.0, radius=8)
-        assert kernel.min() < 0 < kernel.max()
-
-    def test_orthogonality(self):
-        """Distinct Hermite orders are orthogonal kernels."""
-        k0 = gauss_hermite_kernel(0, 0, sigma_px=2.0, radius=10)
-        k1 = gauss_hermite_kernel(1, 0, sigma_px=2.0, radius=10)
-        assert abs((k0 * k1).sum()) < 1e-10
-
-    def test_rejects_bad_args(self):
-        with pytest.raises(ValueError):
-            gauss_hermite_kernel(-1, 0, 1.0, 4)
-        with pytest.raises(ValueError):
-            gauss_hermite_kernel(0, 0, 0.0, 4)
-
-
-class TestSOCSModel:
-    def test_clear_field_normalized(self):
-        model = SOCSModel(duv_model(), rank=3)
-        intensity = model.aerial_image(np.ones((32, 32)), pixel_nm=10.0)
-        np.testing.assert_allclose(intensity, 1.0, atol=0.05)
-
-    def test_dark_field_zero(self):
-        model = SOCSModel(duv_model(), rank=3)
-        intensity = model.aerial_image(np.zeros((32, 32)), pixel_nm=10.0)
-        np.testing.assert_allclose(intensity, 0.0, atol=1e-12)
-
-    def test_rank1_close_to_base_model(self):
-        """A rank-1 SOCS is the base Gaussian model up to normalization."""
-        base = duv_model()
-        model = SOCSModel(base, rank=1)
-        mask = np.zeros((48, 48))
-        mask[:, 20:28] = 1.0
-        socs = model.aerial_image(mask, 10.0)
-        plain = base.aerial_image(mask, 10.0)
-        # same spatial structure: peak positions coincide
-        assert np.argmax(socs[24]) == np.argmax(plain[24])
-        np.testing.assert_allclose(socs, plain, atol=0.08)
-
-    def test_higher_rank_adds_sidelobes(self):
-        """Higher-order kernels change the proximity response."""
-        mask = np.zeros((48, 48))
-        mask[:, 22:26] = 1.0
-        low = SOCSModel(duv_model(), rank=1).aerial_image(mask, 10.0)
-        high = SOCSModel(duv_model(), rank=5).aerial_image(mask, 10.0)
-        assert not np.allclose(low, high, atol=1e-3)
-
-    def test_weights_sum_to_one(self):
-        model = SOCSModel(duv_model(), rank=4)
-        weights, kernels = model.kernels(pixel_nm=10.0)
-        assert len(kernels) == 4
-        assert weights.sum() == pytest.approx(1.0)
-        assert np.all(np.diff(weights) <= 0)  # decaying
-
-    def test_rejects_bad_config(self):
-        with pytest.raises(ValueError):
-            SOCSModel(duv_model(), rank=0)
-        with pytest.raises(ValueError):
-            SOCSModel(duv_model(), weight_decay=1.5)
-        model = SOCSModel(duv_model())
-        with pytest.raises(ValueError):
-            model.aerial_image(np.zeros(5), 10.0)
-        with pytest.raises(ValueError):
-            model.aerial_image(np.zeros((4, 4)), 10.0, dose=0)
 
 
 class TestProcessWindow:

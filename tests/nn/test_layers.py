@@ -4,19 +4,7 @@ import numpy as np
 import pytest
 
 from repro.nn.gradcheck import check_layer_gradients
-from repro.nn.layers import (
-    BatchNorm,
-    Conv2D,
-    Dense,
-    Dropout,
-    Flatten,
-    GlobalAveragePool2D,
-    LeakyReLU,
-    MaxPool2D,
-    ReLU,
-    Sigmoid,
-    Tanh,
-)
+from repro.nn.layers import BatchNorm, Conv2D, Dense, Flatten, MaxPool2D, ReLU
 
 
 @pytest.fixture
@@ -85,10 +73,6 @@ class TestConv2D:
         with pytest.raises(ValueError, match="expected"):
             layer.forward(np.zeros((1, 2, 8, 8)))
 
-    def test_output_dim(self, rng):
-        layer = Conv2D(3, 8, kernel_size=3, pad=1, rng=rng)
-        assert layer.output_dim((3, 12, 12)) == (8, 12, 12)
-
 
 class TestMaxPool2D:
     def test_forward_known_values(self):
@@ -118,10 +102,18 @@ class TestMaxPool2D:
             single = MaxPool2D(2).forward(x[:, c : c + 1])
             np.testing.assert_allclose(out[:, c : c + 1], single)
 
+    def test_rejects_non_tiling(self):
+        with pytest.raises(ValueError, match="does not tile"):
+            MaxPool2D(3).forward(np.zeros((1, 1, 4, 4)))
+
+    def test_rejects_bad_pool_size(self):
+        with pytest.raises(ValueError, match="pool_size"):
+            MaxPool2D(0)
+
 
 class TestActivations:
     @pytest.mark.parametrize(
-        "layer_cls", [ReLU, LeakyReLU, Sigmoid, Tanh], ids=lambda c: c.__name__
+        "layer_cls", [ReLU], ids=lambda c: c.__name__
     )
     def test_gradients(self, layer_cls, rng):
         layer = layer_cls()
@@ -132,15 +124,6 @@ class TestActivations:
         out = ReLU().forward(np.array([[-1.0, 0.0, 2.0]]))
         np.testing.assert_allclose(out, [[0.0, 0.0, 2.0]])
 
-    def test_leaky_relu_slope(self):
-        out = LeakyReLU(alpha=0.1).forward(np.array([[-10.0, 10.0]]))
-        np.testing.assert_allclose(out, [[-1.0, 10.0]])
-
-    def test_sigmoid_extreme_inputs_stable(self):
-        out = Sigmoid().forward(np.array([[-1000.0, 1000.0]]))
-        assert np.all(np.isfinite(out))
-        np.testing.assert_allclose(out, [[0.0, 1.0]], atol=1e-12)
-
 
 class TestFlattenAndPool:
     def test_flatten_roundtrip(self, rng):
@@ -150,42 +133,6 @@ class TestFlattenAndPool:
         assert out.shape == (2, 60)
         back = layer.backward(out)
         np.testing.assert_allclose(back, x)
-
-    def test_gap_forward(self):
-        x = np.ones((2, 3, 4, 4)) * np.arange(3).reshape(1, 3, 1, 1)
-        out = GlobalAveragePool2D().forward(x)
-        np.testing.assert_allclose(out, [[0, 1, 2], [0, 1, 2]])
-
-    def test_gap_gradients(self, rng):
-        layer = GlobalAveragePool2D()
-        x = rng.normal(size=(2, 3, 3, 3))
-        check_layer_gradients(layer, x, rng)
-
-
-class TestDropout:
-    def test_identity_at_inference(self, rng):
-        layer = Dropout(0.5, rng=rng)
-        x = rng.normal(size=(10, 10))
-        np.testing.assert_allclose(layer.forward(x, train=False), x)
-
-    def test_preserves_expectation(self):
-        layer = Dropout(0.3, rng=np.random.default_rng(0))
-        x = np.ones((200, 200))
-        out = layer.forward(x, train=True)
-        assert out.mean() == pytest.approx(1.0, abs=0.02)
-
-    def test_rejects_bad_rate(self):
-        with pytest.raises(ValueError):
-            Dropout(1.0)
-        with pytest.raises(ValueError):
-            Dropout(-0.1)
-
-    def test_mask_reused_in_backward(self):
-        layer = Dropout(0.5, rng=np.random.default_rng(1))
-        x = np.ones((4, 4))
-        out = layer.forward(x, train=True)
-        grad = layer.backward(np.ones((4, 4)))
-        np.testing.assert_allclose(grad, out)
 
 
 class TestBatchNorm:

@@ -189,7 +189,7 @@ class TestSerialization:
 
 class TestGradientFlow:
     def test_end_to_end_gradient_direction(self):
-        """One SGD step on a batch must reduce the loss (small lr)."""
+        """One Adam step on a batch must reduce the loss (small lr)."""
         rng = np.random.default_rng(9)
         net = make_mlp(rng)
         x = rng.normal(size=(16, 2))
@@ -197,9 +197,9 @@ class TestGradientFlow:
         loss_fn = SoftmaxCrossEntropy()
         before = loss_fn(net.forward(x, train=True), y)
         net.backward(loss_fn.backward())
-        from repro.nn import SGD
+        from repro.nn import Adam
 
-        SGD(lr=0.05).step(net.param_groups())
+        Adam(lr=0.01).step(net.param_groups())
         after = loss_fn(net.forward(x), y)
         assert after < before
 
