@@ -15,7 +15,10 @@ each claim:
   The replica max-pools through ``MaxPool2D.forward(x, train=True)``,
   which is no longer the seed's im2col/argmax gather but a reshape
   plus an argmax over each window, so the floor is measured against a
-  faster baseline than the seed's;
+  faster baseline than the seed's.  Its per-offset loop gathers
+  ``(KH, KW, C)``-ordered columns and multiplies them by the kernel
+  permuted the same way, the summation order of every ``Conv2D``
+  forward, so its logits stay byte-equal to the engine's;
 * switching to float32 does not move calibration: the ECE of the fast
   path agrees with the exact path within a small tolerance.
 
@@ -82,7 +85,8 @@ def _fast_twin(clf):
 # ----------------------------------------------------------------------
 
 def _seed_im2col(images, kh, kw, stride, pad):
-    """Seed im2col: np.pad allocation + per-kernel-offset slice loop."""
+    """Seed im2col: np.pad allocation + per-kernel-offset slice loop,
+    gathering ``(KH, KW, C)``-ordered columns."""
     n, c, h, w = images.shape
     if pad:
         images = np.pad(
@@ -90,25 +94,26 @@ def _seed_im2col(images, kh, kw, stride, pad):
         )
     oh = (h + 2 * pad - kh) // stride + 1
     ow = (w + 2 * pad - kw) // stride + 1
-    patch = np.empty((n, oh, ow, c, kh, kw))
+    patch = np.empty((n, oh, ow, kh, kw, c))
     for i in range(kh):
         for j in range(kw):
-            patch[:, :, :, :, i, j] = images[
+            patch[:, :, :, i, j, :] = images[
                 :, :, i : i + stride * oh : stride, j : j + stride * ow : stride
             ].transpose(0, 2, 3, 1)
-    return patch.reshape(n * oh * ow, c * kh * kw)
+    return patch.reshape(n * oh * ow, kh * kw * c)
 
 
 def _seed_layer_forward(layer, x):
     """One layer in the seed formulation: unfused, allocation-churning."""
     if isinstance(layer, Conv2D):
         n, _, h, w = x.shape
-        k, s, p = layer.kernel_size, layer.stride, layer.pad
+        k, s, p, f = layer.kernel_size, layer.stride, layer.pad, layer.out_channels
         oh = (h + 2 * p - k) // s + 1
         ow = (w + 2 * p - k) // s + 1
         cols = _seed_im2col(x, k, k, s, p)
-        out = cols @ layer.weight.reshape(layer.out_channels, -1).T + layer.bias
-        return out.reshape(n, oh, ow, layer.out_channels).transpose(0, 3, 1, 2)
+        kernel = layer.weight.transpose(0, 2, 3, 1).reshape(f, -1)
+        out = cols @ kernel.T + layer.bias
+        return out.reshape(n, oh, ow, f).transpose(0, 3, 1, 2)
     if isinstance(layer, Dense):
         return x @ layer.weight + layer.bias
     if isinstance(layer, ReLU):

@@ -13,6 +13,7 @@ python -m pytest -x -q
 echo "==> pytest (REPRO_CHECK=strict)"
 REPRO_CHECK=strict python -m pytest -x -q
 
+# no -x here: every smoke reports even when an earlier one fails a gate
 echo "==> bench smokes (quick mode)"
 REPRO_BENCH_QUICK=1 python -m pytest \
     benchmarks/bench_stream.py \
@@ -20,7 +21,7 @@ REPRO_BENCH_QUICK=1 python -m pytest \
     benchmarks/bench_compute_core.py \
     benchmarks/bench_concurrency.py \
     benchmarks/bench_transport.py \
-    -x -q
+    -q
 
 echo "==> benchmark suite smoke (every workload at --smoke size, correct)"
 python -m pytest benchmarks/suite/test_suite.py -x -q

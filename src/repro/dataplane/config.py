@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 __all__ = ["DataPlaneConfig", "PRECISIONS"]
@@ -85,9 +86,11 @@ class DataPlaneConfig:
                 "max_disk_cache_bytes must be positive or None, got "
                 f"{self.max_disk_cache_bytes}"
             )
-        if self.task_timeout is not None and self.task_timeout <= 0:
+        if self.task_timeout is not None and not (
+            self.task_timeout > 0 and math.isfinite(self.task_timeout)
+        ):
             raise ValueError(
-                "task_timeout must be positive or None, got "
+                "task_timeout must be positive and finite, or None, got "
                 f"{self.task_timeout}"
             )
         if self.precision not in PRECISIONS:

@@ -17,6 +17,7 @@ of stalling the run forever.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from typing import Callable, Iterator, Optional, Sequence, TypeVar
@@ -138,7 +139,9 @@ def imap_chunks(
     ``on_timeout`` receives the index of a chunk that was cancelled at
     the deadline and re-run serially.
     """
-    if timeout is not None and timeout <= 0:
-        raise ValueError(f"timeout must be positive or None, got {timeout}")
+    if timeout is not None and not (timeout > 0 and math.isfinite(timeout)):
+        raise ValueError(
+            f"timeout must be positive and finite, or None, got {timeout}"
+        )
     parts = chunked(items, chunk_size)
     return _iter_chunks(fn, parts, workers, timeout, on_timeout)

@@ -1,18 +1,20 @@
 """im2col / col2im transformations for fast convolution on CPU.
 
 Convolution is implemented as one large matrix multiplication: the input
-tensor is unfolded so every receptive field becomes a row (``im2col``), the
-kernel bank becomes a matrix, and the product yields all output pixels at
-once.  ``col2im`` is the exact adjoint used during backpropagation.
+tensor is unfolded so every receptive field becomes a row, the kernel
+bank becomes a matrix, and the product yields all output pixels at once.
 
-``im2col`` gathers through a single strided-view copy (one pass over the
-patch tensor instead of the seed's per-kernel-offset loop plus a transpose
-copy) and can route its padded-input and column scratch through a
-:class:`~repro.nn.runtime.WorkspaceArena` so repeated same-shape batches
-reuse one allocation.  Values and row layout are bit-identical to the seed
-kernel either way.
+:class:`~repro.nn.layers.Conv2D` runs one channels-last kernel at every
+precision, for training and inference: :func:`im2col_nhwc` gathers each
+receptive field in ``(KH, KW, C)`` order through an arena-pooled NHWC
+scratch, and :func:`col2im`, its exact adjoint, folds columns in that
+order back during backpropagation.
 
-All tensors use the NCHW layout: ``(batch, channels, height, width)``.
+:func:`im2col` is the NCHW gather with ``(C, KH, KW)``-ordered rows.  No
+layer calls it; the benchmarks time it.
+
+Tensors enter and leave in the NCHW layout: ``(batch, channels, height,
+width)``.
 """
 
 from __future__ import annotations
@@ -75,7 +77,8 @@ def im2col(
     """Unfold ``images`` (N, C, H, W) into a 2-D matrix of receptive fields.
 
     Returns an array of shape ``(N * out_h * out_w, C * kernel_h * kernel_w)``
-    where each row is one flattened receptive field.
+    where each row is one receptive field flattened in ``(C, KH, KW)``
+    order.
 
     With both ``runtime`` and ``key``, the padded input and the returned
     column matrix live in the runtime's workspace arena under ``key`` —
@@ -132,12 +135,11 @@ def im2col_nhwc(
     The channels-last scratch keeps each gathered chunk ``C`` elements
     contiguous instead of the NCHW view's ``KW``-element slivers, which
     makes the gather several times faster on the small spatial extents
-    of the DCT tensors.  The column order differs from :func:`im2col`
-    (``(C, KH, KW)``), so the kernel matrix must be permuted to match —
-    the summation order of the convolution gemm changes, which is why
-    this path serves only the float32 fast policy, never the bit-exact
-    float64 kernels.  Always arena-pooled: the result is scratch that
-    the next same-key call overwrites.
+    of the DCT tensors.  The kernel matrix must be permuted to the same
+    ``(KH, KW, C)`` order; :func:`col2im` is the adjoint.  This is the
+    gather of every convolution, at both precisions.  Always
+    arena-pooled: the result is scratch that the next same-key call
+    overwrites.
     """
     n, c, h, w = images.shape
     out_h = conv_output_size(h, kernel_h, stride, pad)
@@ -176,25 +178,25 @@ def col2im(
     stride: int = 1,
     pad: int = 0,
 ) -> np.ndarray:
-    """Adjoint of :func:`im2col`: fold column matrix back, summing overlaps.
+    """Adjoint of :func:`im2col_nhwc`: fold ``(KH, KW, C)``-ordered
+    columns back, summing overlaps.
 
     Accumulates into a channels-last buffer, so each kernel offset's add
-    runs along rows of ``OW * C`` elements instead of ``C * OH`` runs of
-    ``OW``.  Every pixel still sums the same terms in the same ``(ky,
-    kx)`` order starting from 0.0, so the result is bit-identical to an
-    NCHW accumulation.  Returns a contiguous NCHW array.
+    runs along rows of ``OW * C`` elements.  Every pixel sums its terms
+    in ``(ky, kx)`` order starting from 0.0, as an NCHW accumulation of
+    the same values does.  Returns a contiguous NCHW array.
     """
     n, c, h, w = input_shape
     out_h = conv_output_size(h, kernel_h, stride, pad)
     out_w = conv_output_size(w, kernel_w, stride, pad)
 
-    cols = cols.reshape(n, out_h, out_w, c, kernel_h, kernel_w)
+    cols = cols.reshape(n, out_h, out_w, kernel_h, kernel_w, c)
     padded = np.zeros((n, h + 2 * pad, w + 2 * pad, c), dtype=cols.dtype)
     for ky in range(kernel_h):
         y_max = ky + stride * out_h
         for kx in range(kernel_w):
             x_max = kx + stride * out_w
-            padded[:, ky:y_max:stride, kx:x_max:stride] += cols[..., ky, kx]
+            padded[:, ky:y_max:stride, kx:x_max:stride] += cols[:, :, :, ky, kx]
 
     interior = padded[:, pad : pad + h, pad : pad + w]
     return np.ascontiguousarray(interior.transpose(0, 3, 1, 2))

@@ -16,7 +16,7 @@ import itertools
 import numpy as np
 
 from ..analysis.contracts import contract
-from .im2col import col2im, conv_output_size, im2col, im2col_nhwc
+from .im2col import col2im, conv_output_size, im2col_nhwc
 from .initializers import get_initializer
 from .runtime import ComputeRuntime, get_runtime
 
@@ -146,7 +146,12 @@ class Dense(Layer):
 
 
 class Conv2D(Layer):
-    """2-D convolution over NCHW tensors, implemented with im2col."""
+    """2-D convolution over NCHW tensors as one channels-last gemm.
+
+    Columns are gathered in ``(KH, KW, C)`` order at every precision, for
+    training and inference; the stored weight keeps its ``(F, C, KH, KW)``
+    layout and is permuted to the column order per call.
+    """
 
     def __init__(
         self,
@@ -192,30 +197,24 @@ class Conv2D(Layer):
         out_h = conv_output_size(h, k, s, p)
         out_w = conv_output_size(w, k, s, p)
         rt = runtime if runtime is not None else get_runtime()
-
-        # downcast inference rides the channels-last kernel: same values
-        # to compute-dtype rounding, but a different gemm summation
-        # order, so the bit-exact float64 path never takes it
-        if not train and x.dtype != np.float64:
-            return self._forward_fast_nhwc(
-                x, rt, n, out_h, out_w, fuse_relu
-            )
+        f, c = self.out_channels, self.in_channels
 
         # train and inference use distinct arena slots so a validation
         # forward between a training forward and its backward cannot
         # clobber the cached training columns
-        cols = im2col(
+        cols = im2col_nhwc(
             x, k, k, s, p,
             runtime=rt,
             key=("conv2d", self._ws_id, "train" if train else "infer", k, s, p),
         )
         weight, bias = _params_as(self, x.dtype, rt)
-        flat_w = weight.reshape(self.out_channels, -1)
-        out = cols @ flat_w.T
+        # kernel matrix permuted to the (KH, KW, C) column order
+        wp = rt.buffer(("param", self._ws_id, "w_nhwc"), (f, k * k * c), x.dtype)
+        wp.reshape(f, k, k, c)[...] = weight.transpose(0, 2, 3, 1)
+        out = cols @ wp.T
         out += bias
         if fuse_relu:
             np.maximum(out, 0, out=out)
-        out = out.reshape(n, out_h, out_w, self.out_channels).transpose(0, 3, 1, 2)
 
         if train:
             self._cols = cols
@@ -223,40 +222,8 @@ class Conv2D(Layer):
         else:
             self._cols = None
             self._input_shape = None
-        return out
-
-    def _forward_fast_nhwc(
-        self,
-        x: np.ndarray,
-        rt: ComputeRuntime,
-        n: int,
-        out_h: int,
-        out_w: int,
-        fuse_relu: bool,
-    ) -> np.ndarray:
-        """Channels-last inference kernel for downcast compute dtypes."""
-        k, s, p = self.kernel_size, self.stride, self.pad
-        f = self.out_channels
-        cols = im2col_nhwc(
-            x, k, k, s, p,
-            runtime=rt,
-            key=("conv2d_nhwc", self._ws_id, k, s, p),
-        )
-        weight, bias = _params_as(self, x.dtype, rt)
-        # kernel matrix permuted to the (KH, KW, C) column order
-        wp = rt.buffer(
-            ("param", self._ws_id, "w_nhwc"), (f, k * k * self.in_channels),
-            x.dtype,
-        )
-        wp[...] = weight.transpose(0, 2, 3, 1).reshape(f, -1)
-        out = cols @ wp.T
-        out += bias
-        if fuse_relu:
-            np.maximum(out, 0, out=out)
-        self._cols = None
-        self._input_shape = None
-        # NCHW view over NHWC memory — the next fast-path layer's
-        # channels-last scratch write is then a contiguous copy
+        # NCHW view over NHWC memory — the next layer's channels-last
+        # scratch write is then a contiguous copy
         return out.reshape(n, out_h, out_w, f).transpose(0, 3, 1, 2)
 
     def backward(
@@ -267,13 +234,16 @@ class Conv2D(Layer):
         if self._cols is None or self._input_shape is None:
             raise RuntimeError("backward called without a training forward pass")
         k, s, p = self.kernel_size, self.stride, self.pad
+        f, c = self.out_channels, self.in_channels
         # (N, F, OH, OW) -> (N*OH*OW, F) matching the im2col row order
-        grad_flat = grad_out.transpose(0, 2, 3, 1).reshape(-1, self.out_channels)
+        grad_flat = grad_out.transpose(0, 2, 3, 1).reshape(-1, f)
         self.grad_bias = grad_flat.sum(axis=0)
-        self.grad_weight = (grad_flat.T @ self._cols).reshape(self.weight.shape)
+        # (KH, KW, C)-ordered columns back to the stored (F, C, KH, KW)
+        grad_weight = (grad_flat.T @ self._cols).reshape(f, k, k, c)
+        self.grad_weight = np.ascontiguousarray(grad_weight.transpose(0, 3, 1, 2))
         if not input_grad:
             return None
-        grad_cols = grad_flat @ self.weight.reshape(self.out_channels, -1)
+        grad_cols = grad_flat @ self.weight.transpose(0, 2, 3, 1).reshape(f, -1)
         return col2im(grad_cols, self._input_shape, k, k, s, p)
 
     def params(self) -> dict[str, np.ndarray]:

@@ -32,6 +32,7 @@ happen strictly outside the critical sections.
 
 from __future__ import annotations
 
+import math
 import socket
 import time
 from dataclasses import dataclass
@@ -96,15 +97,11 @@ class ClientConfig:
     def __post_init__(self) -> None:
         if not 0 < self.port <= 65535:
             raise ValueError(f"port must be in [1, 65535], got {self.port}")
-        if self.timeout_s <= 0:
-            raise ValueError(
-                f"timeout_s must be positive, got {self.timeout_s}"
-            )
-        if self.connect_timeout_s <= 0:
-            raise ValueError(
-                f"connect_timeout_s must be positive, got "
-                f"{self.connect_timeout_s}"
-            )
+        # NaN fails `> 0`; socket.settimeout rejects NaN and infinity
+        for name in ("timeout_s", "connect_timeout_s"):
+            value = getattr(self, name)
+            if not (value > 0 and math.isfinite(value)):
+                raise ValueError(f"{name} must be positive and finite, got {value}")
         if self.pool_size <= 0:
             raise ValueError(
                 f"pool_size must be positive, got {self.pool_size}"
@@ -286,8 +283,10 @@ class DetectionClient:
     def _call(self, ftype: int, payload: bytes, parse, timeout):
         cfg = self.config
         budget = cfg.timeout_s if timeout is None else float(timeout)
-        if budget <= 0:
-            raise ValueError(f"timeout must be positive, got {timeout}")
+        if not (budget > 0 and math.isfinite(budget)):
+            raise ValueError(
+                f"timeout must be positive and finite, got {timeout}"
+            )
         deadline = time.monotonic() + budget
         attempts = cfg.retry.attempts
         last_error: Exception | None = None

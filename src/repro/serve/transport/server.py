@@ -39,6 +39,7 @@ frame I/O, ``submit``, joins) and event emission all happen outside it.
 
 from __future__ import annotations
 
+import math
 import socket
 import threading
 from dataclasses import dataclass
@@ -90,15 +91,11 @@ class TransportConfig:
                 f"max_connections must be positive, got "
                 f"{self.max_connections}"
             )
-        if self.read_timeout_s <= 0:
-            raise ValueError(
-                f"read_timeout_s must be positive, got {self.read_timeout_s}"
-            )
-        if self.write_timeout_s <= 0:
-            raise ValueError(
-                f"write_timeout_s must be positive, got "
-                f"{self.write_timeout_s}"
-            )
+        # NaN fails `> 0`; socket.settimeout rejects NaN and infinity
+        for name in ("read_timeout_s", "write_timeout_s"):
+            value = getattr(self, name)
+            if not (value > 0 and math.isfinite(value)):
+                raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
 class SocketTransport:

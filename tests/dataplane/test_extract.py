@@ -170,3 +170,6 @@ class TestConfig:
             DataPlaneConfig(workers=-1)
         with pytest.raises(ValueError, match="memory_cache_items"):
             DataPlaneConfig(memory_cache_items=-1)
+        for timeout in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="task_timeout"):
+                DataPlaneConfig(task_timeout=timeout)

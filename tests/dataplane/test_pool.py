@@ -195,3 +195,11 @@ class TestWatchdog:
         with pytest.raises(ValueError, match="timeout"):
             list(imap_chunks(_total, list(range(4)), chunk_size=2,
                              workers=2, timeout=0.0))
+
+    @pytest.mark.parametrize("timeout", [float("nan"), float("inf")])
+    def test_rejects_non_finite_timeout(self, timeout):
+        # NaN passes `timeout <= 0` and times every pooled chunk out at
+        # once; infinity overflows the futures wait
+        with pytest.raises(ValueError, match="timeout"):
+            imap_chunks(_total, list(range(4)), chunk_size=2, workers=2,
+                        timeout=timeout)

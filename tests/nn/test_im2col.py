@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.nn.im2col import col2im, conv_output_size, im2col
+from repro.nn.im2col import col2im, conv_output_size, im2col, im2col_nhwc
+from repro.nn.runtime import ComputeRuntime
+
+
+def _cols(x, kernel, stride, pad):
+    """``(KH, KW, C)``-ordered columns: the order col2im folds."""
+    return im2col_nhwc(x, kernel, kernel, stride, pad, ComputeRuntime(), "t")
 
 
 class TestConvOutputSize:
@@ -76,12 +82,28 @@ class TestIm2Col:
         np.testing.assert_allclose(out, naive, atol=1e-10)
 
 
+class TestIm2ColNHWC:
+    def test_columns_are_the_nchw_columns_permuted(self):
+        rng = np.random.default_rng(4)
+        x = rng.normal(size=(2, 3, 7, 7))
+        nchw = im2col(x, 3, 3, 2, 1).reshape(-1, 3, 3, 3)
+        got = _cols(x, 3, 2, 1)
+        assert np.array_equal(got, nchw.transpose(0, 2, 3, 1).reshape(-1, 27))
+
+    def test_known_values(self):
+        x = np.arange(18, dtype=np.float64).reshape(1, 2, 3, 3)
+        cols = _cols(x, 2, 1, 0)
+        assert cols.shape == (4, 8)
+        # (ky, kx, c) order: the two channels of each pixel are adjacent
+        np.testing.assert_allclose(cols[0], [0, 9, 1, 10, 3, 12, 4, 13])
+
+
 class TestCol2Im:
     def test_adjoint_property(self):
-        """<im2col(x), y> == <x, col2im(y)> — exact adjointness."""
+        """<im2col_nhwc(x), y> == <x, col2im(y)> — exact adjointness."""
         rng = np.random.default_rng(2)
         x = rng.normal(size=(2, 3, 6, 6))
-        cols = im2col(x, 3, 3, 1, 1)
+        cols = _cols(x, 3, 1, 1)
         y = rng.normal(size=cols.shape)
         lhs = float((cols * y).sum())
         back = col2im(y, x.shape, 3, 3, 1, 1)
@@ -89,10 +111,10 @@ class TestCol2Im:
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
     def test_non_overlapping_roundtrip(self):
-        """With stride == kernel, col2im(im2col(x)) == x exactly."""
+        """With stride == kernel, col2im(im2col_nhwc(x)) == x exactly."""
         rng = np.random.default_rng(3)
         x = rng.normal(size=(1, 2, 4, 4))
-        cols = im2col(x, 2, 2, 2, 0)
+        cols = _cols(x, 2, 2, 0)
         back = col2im(cols, x.shape, 2, 2, 2, 0)
         np.testing.assert_allclose(back, x)
 
@@ -117,7 +139,7 @@ def test_adjoint_holds_for_random_shapes(n, c, size, kernel):
     rng = np.random.default_rng(n * 100 + c * 10 + size + kernel)
     pad = kernel // 2
     x = rng.normal(size=(n, c, size, size))
-    cols = im2col(x, kernel, kernel, 1, pad)
+    cols = _cols(x, kernel, 1, pad)
     y = rng.normal(size=cols.shape)
     lhs = float((cols * y).sum())
     rhs = float((x * col2im(y, x.shape, kernel, kernel, 1, pad)).sum())

@@ -3,7 +3,9 @@
 Four training steps were made cheaper without changing a bit of their
 results:
 
-- ``col2im`` accumulates into a channels-last buffer instead of NCHW;
+- ``col2im`` accumulates into a channels-last buffer instead of NCHW
+  (it now reads ``(KH, KW, C)``-ordered columns, so the reference is fed
+  the same values in ``(C, KH, KW)`` order);
 - ``MaxPool2D`` groups its windows by a reshape instead of an
   ``im2col`` gather, and scatters its gradient back without ``col2im``;
 - ``Adam`` updates its moments in place through per-slot scratch;
@@ -101,6 +103,13 @@ def _with_negative_zeros(values, rng, fraction=0.3):
 # ----------------------------------------------------------------------
 
 
+def _to_nhwc_columns(cols, channels, kernel):
+    """The same values with each row permuted from ``(C, KH, KW)`` to
+    ``(KH, KW, C)``, the order col2im reads."""
+    rows = cols.reshape(-1, channels, kernel, kernel).transpose(0, 2, 3, 1)
+    return np.ascontiguousarray(rows).reshape(cols.shape)
+
+
 @pytest.mark.parametrize("channels", [1, 16, 32])
 @pytest.mark.parametrize("pad", [0, 1, 2])
 @pytest.mark.parametrize("stride", [1, 2])
@@ -113,7 +122,8 @@ def test_col2im_matches_nchw_accumulation(kernel, stride, pad, channels):
     shape = (3, channels, h, w)
     cols = rng.normal(size=(3 * out_h * out_w, channels * kernel * kernel))
     cols = _with_negative_zeros(cols, rng)
-    got = col2im(cols, shape, kernel, kernel, stride, pad)
+    got = col2im(_to_nhwc_columns(cols, channels, kernel), shape,
+                 kernel, kernel, stride, pad)
     want = _ref_col2im(cols, shape, kernel, kernel, stride, pad)
     assert got.flags.c_contiguous
     assert _same_bytes(got, want)

@@ -375,6 +375,35 @@ class TestTransportShutdown:
 
 
 # ----------------------------------------------------------------------
+# config validation
+# ----------------------------------------------------------------------
+
+#: rejected timeouts: NaN fails `value <= 0` too, so it needs its own case
+BAD_TIMEOUTS = [0.0, -1.0, float("nan"), float("inf")]
+
+
+class TestConfigValidation:
+    @pytest.mark.parametrize("value", BAD_TIMEOUTS)
+    @pytest.mark.parametrize("field", ["read_timeout_s", "write_timeout_s"])
+    def test_transport_rejects_bad_timeouts(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            TransportConfig(**{field: value})
+
+    @pytest.mark.parametrize("value", BAD_TIMEOUTS)
+    @pytest.mark.parametrize("field", ["timeout_s", "connect_timeout_s"])
+    def test_client_rejects_bad_timeouts(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ClientConfig(port=1, **{field: value})
+
+    @pytest.mark.parametrize("value", BAD_TIMEOUTS)
+    def test_call_rejects_bad_timeout_before_connecting(self, value):
+        # port 1 is never dialled: the budget is checked first
+        with DetectionClient(ClientConfig(port=1)) as client:
+            with pytest.raises(ValueError, match="timeout"):
+                client.health(timeout=value)
+
+
+# ----------------------------------------------------------------------
 # circuit breaker under the interleaving harness
 # ----------------------------------------------------------------------
 
