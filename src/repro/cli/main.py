@@ -359,11 +359,7 @@ def detect_main(argv=None) -> int:
         checkpoint_every=(
             args.checkpoint_every if args.checkpoint_dir else 0
         ),
-        guard=GuardConfig(
-            enabled=args.guard,
-            max_litho=args.max_litho,
-            stage_timeout=args.stage_timeout,
-        ),
+        guard=GuardConfig(enabled=args.guard, max_litho=args.max_litho),
     )
     framework = PSHDFramework(dataset, config, bus=bus)
     if args.resume:

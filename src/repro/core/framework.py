@@ -161,7 +161,8 @@ class FrameworkConfig:
     checkpoint_every: int = 0
     checkpoint_dir: str | None = None
     #: run-health supervision: sentinel thresholds, recovery budgets and
-    #: the litho budget / stage watchdog (see repro.engine.guard).  Not
+    #: the litho budget (see repro.engine.guard; the pooled-chunk
+    #: watchdog deadline is ``dataplane.task_timeout``).  Not
     #: part of the checkpoint fingerprint — supervision is
     #: bit-transparent on healthy runs, so guarded and unguarded runs
     #: may resume each other's checkpoints.

@@ -105,9 +105,6 @@ class GuardConfig:
     #: litho-clip budget; ``None`` = unlimited.  Enforced by the
     #: labeler; the supervisor turns the overrun into a graceful stop.
     max_litho: int | None = None
-    #: watchdog deadline (seconds) for pooled dataplane/litho chunks;
-    #: ``None`` disables the watchdog
-    stage_timeout: float | None = None
 
     def __post_init__(self) -> None:
         if self.max_train_retries < 0:
@@ -125,11 +122,6 @@ class GuardConfig:
         if self.max_litho is not None and self.max_litho <= 0:
             raise ValueError(
                 f"max_litho must be positive or None, got {self.max_litho}"
-            )
-        if self.stage_timeout is not None and self.stage_timeout <= 0:
-            raise ValueError(
-                "stage_timeout must be positive or None, got "
-                f"{self.stage_timeout}"
             )
 
 

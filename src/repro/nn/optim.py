@@ -4,6 +4,15 @@ Optimizers hold per-parameter slot state keyed by ``(layer index, name)``
 and update parameter arrays **in place**, so the network's layers always
 see the latest weights without re-wiring references.
 
+:class:`Adam` runs its step as one kernel over 32,768-element blocks of
+each flattened slot, so a block's parameter, gradient, moments and work
+arrays stay in cache.  A slot of at least four blocks is cut into
+block-aligned ranges, one per CPU the process may use: the calling
+thread takes the first range and long-lived daemon helper threads the
+others.  Every element sees the same float64 operations in the same
+order whatever the block size or the split, so the results are
+bit-identical to one pass over the whole slot.
+
 Slot state is serializable: :meth:`Adam.get_state` /
 :meth:`Adam.set_state` round-trip the first/second moments and the
 per-slot step counts, and :func:`flatten_state` /
@@ -16,8 +25,15 @@ correction — training would continue, but not on the same trajectory.
 from __future__ import annotations
 
 import math
+import os
+import queue
+import threading
+from functools import partial
 
 import numpy as np
+
+from ..analysis.concurrency import TrackedLock
+from .runtime import WorkspaceArena
 
 __all__ = [
     "Optimizer",
@@ -72,8 +88,191 @@ def unflatten_state(flat: dict) -> dict:
     return state
 
 
+#: Elements per block of the Adam kernel.  A block's param, grad, m and
+#: v and its two work arrays (6 x 256 KB) stay in L2 across the step's
+#: 14 ufuncs.  Mean time per step of the MLP (297,122 parameters) in a
+#: traced ``al_mlp`` run at seed 7 on a 2-vCPU VM, against 3.90 ms for
+#: one pass over each whole slot:
+#:
+#: ========  ========  =======  =======  =======
+#: threads   8K        16K      32K      64K
+#: ========  ========  =======  =======  =======
+#: one       3.19 ms   2.90 ms  2.85 ms  2.90 ms
+#: two       3.48 ms   2.41 ms  1.85 ms  1.98 ms
+#: ========  ========  =======  =======  =======
+#:
+#: Smaller blocks split into more ufunc dispatches, which contend for
+#: the GIL when two threads run.
+_BLOCK = 32768
+#: a slot of at least this many blocks is split across the CPUs
+_SPLIT_BLOCKS = 4
+#: ranges a split slot is cut into: one per CPU this process may use
+_WORKERS = (
+    len(os.sched_getaffinity(0))
+    if hasattr(os, "sched_getaffinity")
+    else os.cpu_count() or 1
+)
+
+#: block scratch; thread-local, so every helper has its own buffers
+_ARENA = WorkspaceArena()
+
+
+def _adam_range(param, grad, m, v, decay, coef, lo, hi) -> None:
+    """One Adam step over elements ``[lo, hi)`` of a flattened slot.
+
+    Runs the 14 in-place ufuncs of the whole-slot update block by
+    block, with the same operands in the same order, so every element
+    gets the bytes the whole-slot pass gave it.  A non-zero ``decay``
+    first forms ``grad + decay * param`` per block.
+    """
+    beta1, beta2, lr, eps, bias1, bias2 = coef
+    a_buf = _ARENA.buffer(("adam", "a"), (_BLOCK,), param.dtype)
+    b_buf = _ARENA.buffer(("adam", "b"), (_BLOCK,), param.dtype)
+    if decay:
+        g_buf = _ARENA.buffer(("adam", "g"), (_BLOCK,), param.dtype)
+    for start in range(lo, hi, _BLOCK):
+        stop = min(start + _BLOCK, hi)
+        n = stop - start
+        p, g = param[start:stop], grad[start:stop]
+        mb, vb = m[start:stop], v[start:stop]
+        a, b = a_buf[:n], b_buf[:n]
+        if decay:
+            np.multiply(p, decay, out=g_buf[:n])
+            g = np.add(g, g_buf[:n], out=g_buf[:n])
+        # m = b1 * m + (1 - b1) * grad
+        np.multiply(mb, beta1, out=mb)
+        np.multiply(g, 1 - beta1, out=a)
+        np.add(mb, a, out=mb)
+        # v = b2 * v + ((1 - b2) * grad) * grad
+        np.multiply(vb, beta2, out=vb)
+        np.multiply(g, 1 - beta2, out=a)
+        np.multiply(a, g, out=a)
+        np.add(vb, a, out=vb)
+        # param -= (lr * m_hat) / (sqrt(v_hat) + eps)
+        np.divide(mb, bias1, out=a)
+        np.multiply(a, lr, out=a)
+        np.divide(vb, bias2, out=b)
+        np.sqrt(b, out=b)
+        np.add(b, eps, out=b)
+        np.divide(a, b, out=a)
+        np.subtract(p, a, out=p)
+
+
+def _run_range(fn, lo: int, hi: int, done: queue.SimpleQueue):
+    try:
+        fn(lo, hi)
+    except BaseException as exc:  # noqa: BLE001 - re-raised by the caller
+        return done, exc
+    return done, None
+
+
+def _serve(inbox: queue.SimpleQueue) -> None:
+    """A helper thread's loop: run one range, report, wait for the next.
+
+    It keeps no reference to a finished range's arrays.  Holding one
+    until the next step would keep that step's gradient alive across
+    the next backward pass, which put about 10 MB on ``al_mlp``'s peak
+    RSS.
+    """
+    while True:
+        done, error = _run_range(*inbox.get())
+        done.put(error)
+
+
+class _Helpers:
+    """Long-lived daemon threads that run the ranges of a split slot.
+
+    One set serves every optimizer in the process, because the CPUs
+    they share are a process resource.  It grows to the number of
+    helpers a split asks for and is used by one caller at a time; a
+    caller that finds it busy runs every range itself, which gives the
+    same bytes.
+    """
+
+    def __init__(self) -> None:
+        self._lock = TrackedLock("adam-helpers")
+        #: one inbox per helper thread; only touched under _lock
+        self._inboxes: list[queue.SimpleQueue] = []
+
+    def run(self, fn, ranges: list[tuple[int, int]]) -> None:
+        """Run ``fn(lo, hi)`` over every range and wait for all of them.
+
+        The calling thread takes the first range.  It waits for every
+        helper even when its own range raises, and then raises the
+        first error.
+        """
+        if not self._lock.acquire(blocking=False):
+            for lo, hi in ranges:
+                fn(lo, hi)
+            return
+        try:
+            self._run_locked(fn, ranges)
+        finally:
+            self._lock.release()
+
+    def _run_locked(self, fn, ranges) -> None:  #: requires: _lock
+        while len(self._inboxes) < len(ranges) - 1:
+            inbox: queue.SimpleQueue = queue.SimpleQueue()
+            threading.Thread(
+                target=_serve, args=(inbox,),
+                name=f"adam-helper-{len(self._inboxes)}", daemon=True,
+            ).start()
+            self._inboxes.append(inbox)
+        # a queue per run: if an interrupt ends this wait early, the
+        # late results land here and not in a later run's wait
+        done: queue.SimpleQueue = queue.SimpleQueue()
+        for inbox, (lo, hi) in zip(self._inboxes, ranges[1:]):
+            inbox.put((fn, lo, hi, done))
+        try:
+            fn(*ranges[0])
+        finally:
+            errors = [done.get() for _ in ranges[1:]]
+        for error in errors:
+            if error is not None:
+                raise error
+
+
+_HELPERS = _Helpers()
+if hasattr(os, "register_at_fork"):
+    # a forked child inherits the helpers' inboxes but not their threads;
+    # a lock held across the fork only makes the child run inline
+    os.register_at_fork(after_in_child=_HELPERS._inboxes.clear)
+
+
+def _run_split(fn, size: int) -> None:
+    """Run ``fn(lo, hi)`` over ``[0, size)``: inline for a slot of fewer
+    than ``_SPLIT_BLOCKS`` blocks or a single CPU, otherwise as one
+    block-aligned range per worker."""
+    blocks = -(-size // _BLOCK)
+    workers = min(_WORKERS, blocks)
+    if blocks < _SPLIT_BLOCKS or workers < 2:
+        fn(0, size)
+        return
+    bounds = [min(blocks * i // workers * _BLOCK, size)
+              for i in range(workers + 1)]
+    _HELPERS.run(fn, list(zip(bounds, bounds[1:])))
+
+
+def _check_slot(key, param, grad, m, v) -> None:
+    """Refuse a slot whose update would misalign or land in a copy,
+    before anything is written.  ``m``/``v`` are None for a new slot."""
+    for name, array in (("grad", grad), ("m", m), ("v", v)):
+        if array is not None and array.shape != param.shape:
+            raise ValueError(
+                f"Adam slot {key!r}: {name} has shape {array.shape}, "
+                f"the parameter {param.shape}"
+            )
+    for name, array in (("param", param), ("m", m), ("v", v)):
+        if array is not None and not array.flags.c_contiguous:
+            raise ValueError(
+                f"Adam slot {key!r}: {name} is not C-contiguous, so its "
+                "update would land in a copy"
+            )
+
+
 class Optimizer:
-    """Base optimizer: weight decay, then one :meth:`_update` per slot."""
+    """Base optimizer: one :meth:`_update` per slot, with weight decay
+    handed down for matrices."""
 
     def __init__(self, lr: float = 0.01, weight_decay: float = 0.0) -> None:
         # each test is written so that NaN fails it
@@ -91,13 +290,14 @@ class Optimizer:
 
     def step(self, param_groups) -> None:
         """Apply one update. ``param_groups`` is an iterable of
-        ``(slot_key, param_array, grad_array)`` triples."""
+        ``(slot_key, param_array, grad_array)`` triples; a matrix's
+        gradient gains ``weight_decay * param``."""
         for key, param, grad in param_groups:
-            if self.weight_decay and param.ndim > 1:
-                grad = grad + self.weight_decay * param
-            self._update(key, param, grad)
+            decay = self.weight_decay if param.ndim > 1 else 0.0
+            self._update(key, param, grad, decay)
 
-    def _update(self, key, param: np.ndarray, grad: np.ndarray) -> None:
+    def _update(self, key, param: np.ndarray, grad: np.ndarray,
+                decay: float) -> None:
         raise NotImplementedError
 
 
@@ -123,41 +323,25 @@ class Adam(Optimizer):
         self._m: dict = {}
         self._v: dict = {}
         self._t: dict = {}
-        self._scratch: dict = {}
 
-    def _update(self, key, param: np.ndarray, grad: np.ndarray) -> None:
+    def _update(self, key, param: np.ndarray, grad: np.ndarray,
+                decay: float) -> None:
         m = self._m.get(key)
+        v = self._v.get(key)
+        _check_slot(key, param, grad, m, v)
         if m is None:
             m = self._m[key] = np.zeros_like(param)
-            self._v[key] = np.zeros_like(param)
+            v = self._v[key] = np.zeros_like(param)
             self._t[key] = 0
-        v = self._v[key]
         self._t[key] += 1
         t = self._t[key]
-        scratch = self._scratch.get(key)
-        if scratch is None:
-            # two work arrays shaped like the slot; not optimizer state
-            scratch = (np.empty_like(param), np.empty_like(param))
-            self._scratch[key] = scratch
-        a, b = scratch
-
-        # m = b1 * m + (1 - b1) * grad
-        np.multiply(m, self.beta1, out=m)
-        np.multiply(grad, 1 - self.beta1, out=a)
-        np.add(m, a, out=m)
-        # v = b2 * v + ((1 - b2) * grad) * grad
-        np.multiply(v, self.beta2, out=v)
-        np.multiply(grad, 1 - self.beta2, out=a)
-        np.multiply(a, grad, out=a)
-        np.add(v, a, out=v)
-        # param -= (lr * m_hat) / (sqrt(v_hat) + eps)
-        np.divide(m, 1 - self.beta1**t, out=a)
-        np.multiply(a, self.lr, out=a)
-        np.divide(v, 1 - self.beta2**t, out=b)
-        np.sqrt(b, out=b)
-        np.add(b, self.eps, out=b)
-        np.divide(a, b, out=a)
-        param -= a
+        coef = (self.beta1, self.beta2, self.lr, self.eps,
+                1 - self.beta1**t, 1 - self.beta2**t)
+        _run_split(
+            partial(_adam_range, param.reshape(-1), grad.reshape(-1),
+                    m.reshape(-1), v.reshape(-1), decay, coef),
+            param.size,
+        )
 
     def get_state(self) -> dict:
         return {

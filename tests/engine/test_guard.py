@@ -34,7 +34,6 @@ class TestGuardConfig:
         dict(t_min=0.0),
         dict(t_min=5.0, t_max=2.0),
         dict(max_litho=0),
-        dict(stage_timeout=-1.0),
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):

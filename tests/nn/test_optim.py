@@ -1,8 +1,18 @@
-"""Tests for optimizers: exact update formulas and convergence."""
+"""Tests for optimizers: exact update formulas and convergence, slot
+validation, and the helper threads of the split Adam step."""
+
+import multiprocessing
+import os
+import queue
+import sys
+import threading
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
+from repro.nn import optim
 from repro.nn.optim import (
     Adam,
     decode_slot_key,
@@ -120,6 +130,267 @@ class TestOptimizerState:
         opt = Adam(lr=0.1)
         with pytest.raises(ValueError, match="unknown Adam state slots"):
             opt.set_state({"velocity": {("p",): np.zeros(1)}})
+
+
+_KEY = ("p",)
+
+
+def _restored(m, v, t=3):
+    opt = Adam(lr=0.1)
+    opt.set_state({"m": {_KEY: m}, "v": {_KEY: v}, "t": {_KEY: t}})
+    return opt
+
+
+#: (optimizer, param, grad, the array the error must name)
+_BAD_SLOTS = {
+    # used to scale m in place and count the step before raising
+    "m_of_other_size": lambda: (
+        _restored(np.ones(3), np.ones(3)), np.ones(5), np.ones(5), "m"),
+    # same size: a flat view would have let it through
+    "m_of_same_size": lambda: (
+        _restored(np.ones((5, 1)), np.ones((5, 1))), np.ones(5),
+        np.ones(5), "m"),
+    "v_of_same_size": lambda: (
+        _restored(np.ones(5), np.ones((5, 1))), np.ones(5), np.ones(5), "v"),
+    "grad_of_same_size": lambda: (
+        _restored(np.ones(5), np.ones(5)), np.ones(5), np.ones((5, 1)),
+        "grad"),
+    "grad_on_new_slot": lambda: (
+        Adam(lr=0.1), np.ones(5), np.ones(4), "grad"),
+    "strided_param": lambda: (
+        Adam(lr=0.1), np.ones((4, 10))[:, ::2], np.ones((4, 5)), "param"),
+    "fortran_m": lambda: (
+        _restored(np.asfortranarray(np.ones((3, 4))), np.ones((3, 4))),
+        np.ones((3, 4)), np.ones((3, 4)), "m"),
+}
+
+
+class TestSlotValidation:
+    @pytest.mark.parametrize("case", sorted(_BAD_SLOTS))
+    def test_refuses_before_writing(self, case):
+        opt, param, grad, culprit = _BAD_SLOTS[case]()
+        param_before = param.copy()
+        before = opt.get_state()
+        with pytest.raises(ValueError, match=rf"slot \('p',\): {culprit} "):
+            opt.step([(_KEY, param, grad)])
+        assert param.tobytes() == param_before.tobytes()
+        after = opt.get_state()
+        assert after["t"] == before["t"]
+        for slot in ("m", "v"):
+            assert after[slot].keys() == before[slot].keys()
+            for key, value in before[slot].items():
+                assert after[slot][key].shape == value.shape
+                assert after[slot][key].tobytes() == value.tobytes()
+
+
+# ----------------------------------------------------------------------
+# the split step's helper threads
+# ----------------------------------------------------------------------
+
+
+def _recorder():
+    seen = []
+
+    def record(lo, hi):
+        seen.append((lo, hi, threading.current_thread().name))
+
+    return seen, record
+
+
+def _step_split_slot():
+    param = np.zeros(5 * optim._BLOCK)
+    Adam(lr=0.1).step([(_KEY, param, np.ones_like(param))])
+
+
+class TestSplit:
+    def test_ranges_are_block_aligned_and_the_caller_takes_the_first(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr(optim, "_WORKERS", 3)
+        block = optim._BLOCK
+        seen, record = _recorder()
+        optim._run_split(record, 5 * block - 7)
+        seen.sort()
+        assert [r[:2] for r in seen] == [
+            (0, block), (block, 3 * block), (3 * block, 5 * block - 7)]
+        names = [r[2] for r in seen]
+        assert names[0] == threading.current_thread().name
+        assert len(set(names)) == 3
+        assert all(t.daemon for t in threading.enumerate()
+                   if t.name.startswith("adam-helper-"))
+
+    @pytest.mark.parametrize("workers, blocks", [(1, 9), (3, 3)])
+    def test_one_cpu_or_a_small_slot_runs_inline(self, monkeypatch,
+                                                 workers, blocks):
+        monkeypatch.setattr(optim, "_WORKERS", workers)
+        seen, record = _recorder()
+        size = blocks * optim._BLOCK
+        optim._run_split(record, size)
+        assert seen == [(0, size, threading.current_thread().name)]
+
+    def test_caller_waits_for_every_helper_when_its_range_raises(self):
+        caller_failed = threading.Event()
+        finished = []
+
+        def work(lo, hi):
+            if lo == 0:
+                caller_failed.set()
+                raise RuntimeError("caller range")
+            # finish only after the caller's range has raised
+            if caller_failed.wait(timeout=30):
+                finished.append(lo)
+
+        with pytest.raises(RuntimeError, match="caller range"):
+            optim._HELPERS.run(work, [(0, 1), (1, 2), (2, 3)])
+        assert sorted(finished) == [1, 2]
+        # and the helpers are free for the next caller
+        seen, record = _recorder()
+        optim._HELPERS.run(record, [(0, 1), (1, 2)])
+        assert sorted(r[:2] for r in seen) == [(0, 1), (1, 2)]
+
+    def test_helper_error_is_raised_after_every_range_ran(self):
+        ran = []
+
+        def work(lo, hi):
+            ran.append(lo)
+            if lo == 1:
+                raise ValueError("helper range")
+
+        with pytest.raises(ValueError, match="helper range"):
+            optim._HELPERS.run(work, [(0, 1), (1, 2), (2, 3)])
+        assert sorted(ran) == [0, 1, 2]
+
+    def test_interrupted_wait_leaves_nothing_for_the_next_split(
+        self, monkeypatch
+    ):
+        optim._HELPERS.run(lambda lo, hi: None, [(0, 1), (1, 2)])
+        release = threading.Event()
+        done = []
+
+        def first(lo, hi):
+            if lo:
+                release.wait(timeout=30)
+
+        class Interrupted(queue.SimpleQueue):
+            def get(self, *args, **kwargs):
+                raise KeyboardInterrupt  # a Ctrl-C in the caller's wait
+
+        with monkeypatch.context() as patch:
+            patch.setattr(optim.queue, "SimpleQueue", Interrupted)
+            with pytest.raises(KeyboardInterrupt):
+                optim._HELPERS.run(first, [(0, 1), (1, 2)])
+
+        def second(lo, hi):
+            if lo:
+                np.ones(1 << 20).sum()
+                done.append(lo)
+            else:
+                release.set()  # the first split's helper range ends now
+
+        # the first split's late result must not end this wait
+        optim._HELPERS.run(second, [(0, 1), (1, 2)])
+        assert done == [1]
+
+    def test_busy_helpers_leave_the_caller_every_range(self):
+        held, release = threading.Event(), threading.Event()
+
+        def hold():
+            with optim._HELPERS._lock:
+                held.set()
+                release.wait(timeout=30)
+
+        holder = threading.Thread(target=hold)
+        holder.start()
+        seen, record = _recorder()
+        try:
+            assert held.wait(timeout=30)
+            optim._HELPERS.run(record, [(0, 1), (1, 2)])
+        finally:
+            release.set()
+            holder.join(timeout=30)
+        assert not holder.is_alive()
+        me = threading.current_thread().name
+        assert seen == [(0, 1, me), (1, 2, me)]
+
+    def test_concurrent_callers_get_the_serial_bytes(self, monkeypatch):
+        """More callers than CPUs and a short switch interval: whether a
+        caller got the helpers or ran inline, its slot must come out as
+        a serial run leaves it."""
+        rng = np.random.default_rng(3)
+        start = rng.normal(size=5 * optim._BLOCK + 3)
+        grads = [rng.normal(size=start.shape) for _ in range(3)]
+
+        def train(param):
+            opt = Adam(lr=0.01)
+            for grad in grads:
+                opt.step([(_KEY, param, grad)])
+
+        monkeypatch.setattr(optim, "_WORKERS", 1)
+        want = start.copy()
+        train(want)
+        monkeypatch.setattr(optim, "_WORKERS", 3)
+        params = [start.copy() for _ in range(4)]
+        errors = []
+
+        def caller(param):
+            try:
+                train(param)
+            except BaseException as exc:  # noqa: BLE001 - asserted below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=caller, args=(p,)) for p in params]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        for param in params:
+            assert param.tobytes() == want.tobytes()
+
+    def test_helpers_keep_no_reference_to_a_finished_step(self,
+                                                          monkeypatch):
+        monkeypatch.setattr(optim, "_WORKERS", 2)
+        param = np.zeros(5 * optim._BLOCK)
+        grad = np.ones_like(param)
+        Adam(lr=0.1).step([(_KEY, param, grad)])
+        gone = weakref.ref(grad)
+        del grad
+        assert gone() is None
+
+    def test_decayed_step_allocates_nothing_full_size(self, monkeypatch):
+        monkeypatch.setattr(optim, "_WORKERS", 2)
+        rng = np.random.default_rng(5)
+        param = rng.normal(size=(4608, 64))
+        grad = rng.normal(size=param.shape)
+        opt = Adam(lr=0.01, weight_decay=1e-2)
+        # the first step makes the moments and every thread's scratch
+        opt.step([(_KEY, param, grad)])
+        tracemalloc.start()
+        try:
+            opt.step([(_KEY, param, grad)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < param.nbytes // 8
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    def test_forked_child_starts_its_own_helpers(self, monkeypatch):
+        monkeypatch.setattr(optim, "_WORKERS", 2)
+        _step_split_slot()  # the parent's helper is running now
+        child = multiprocessing.get_context("fork").Process(
+            target=_step_split_slot)
+        child.start()
+        child.join(timeout=60)
+        if child.is_alive():  # waiting on the parent's helper
+            child.kill()
+            child.join()
+        assert child.exitcode == 0
 
 
 class TestStateFlattening:

@@ -8,7 +8,11 @@ results:
   the same values in ``(C, KH, KW)`` order);
 - ``MaxPool2D`` groups its windows by a reshape instead of an
   ``im2col`` gather, and scatters its gradient back without ``col2im``;
-- ``Adam`` updates its moments in place through per-slot scratch;
+- ``Adam`` runs its step in place, one 32,768-element block at a time
+  with per-block scratch and weight decay, and splits a slot of four
+  or more blocks into ranges that helper threads run (the reference is
+  the out-of-place update over the whole slot, with the full-size
+  weight decay ``Optimizer.step`` once formed);
 - training stops the backward pass at the first layer with parameters
   (``Sequential.backward(grad, input_grad=False)``).
 
@@ -23,8 +27,9 @@ import pytest
 from repro.model.cnn import build_hotspot_cnn, build_hotspot_mlp
 from repro.nn import BatchNorm, Dense, ReLU, Sequential
 from repro.nn.im2col import col2im, conv_output_size, im2col
+from repro.nn import optim
 from repro.nn.layers import MaxPool2D
-from repro.nn.optim import Adam, Optimizer
+from repro.nn.optim import Adam
 
 # ----------------------------------------------------------------------
 # references, frozen
@@ -62,12 +67,18 @@ def _ref_maxpool_train(x, k, grad_out):
     return out, grad.reshape(n, c, h, w)
 
 
-class _RefAdam(Optimizer):
+class _RefAdam:
     def __init__(self, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8,
                  weight_decay=0.0):
-        super().__init__(lr, weight_decay)
+        self.lr, self.weight_decay = lr, weight_decay
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self._m, self._v, self._t = {}, {}, {}
+
+    def step(self, param_groups):
+        for key, param, grad in param_groups:
+            if self.weight_decay and param.ndim > 1:
+                grad = grad + self.weight_decay * param
+            self._update(key, param, grad)
 
     def _update(self, key, param, grad):
         m = self._m.get(key)
@@ -186,51 +197,64 @@ def test_maxpool_training_routes_nan_like_im2col_path():
 # ----------------------------------------------------------------------
 
 
-def _params(rng):
-    return {"w": rng.normal(size=(6, 5)), "b": rng.normal(size=5)}
+def _adam_shapes():
+    """Slots on both sides of the block edges and the split threshold."""
+    block = optim._BLOCK
+    return {
+        "w": (6, 5),
+        "b": (5,),
+        "one": (1,),
+        "block": (block,),
+        "block+1": (block + 1,),
+        # five blocks, the last one partial: split, decayed (a matrix)
+        "partial": (4, block + 1000),
+        # the MLP's first Dense: nine blocks, split, decayed
+        "mlp": (4608, 64),
+    }
 
 
-def _run_steps(opt, params, grads, round_trip_at=None, rebuild=None):
-    trace = []
-    for step, grad in enumerate(grads):
-        if step == round_trip_at:
-            state = opt.get_state()
-            opt = rebuild()
-            opt.set_state(state)
-        opt.step([((i, k), params[k], grad[k]) for i, k in enumerate(params)])
-        trace.append({k: v.copy() for k, v in params.items()})
-    return trace, opt
+def _groups(params, grads):
+    return [((i, k), params[k], grads[k]) for i, k in enumerate(params)]
 
 
 @pytest.mark.parametrize("case", ["plain", "weight_decay", "state_round_trip"])
-def test_adam_matches_out_of_place_update(case):
-    rng = np.random.default_rng(17)
-    start = _params(rng)
-    grads = [
-        {k: _with_negative_zeros(rng.normal(size=v.shape), rng, 0.1)
-         for k, v in start.items()}
-        for _ in range(20)
-    ]
+def test_adam_matches_out_of_place_update(case, monkeypatch):
     kwargs = {"weight_decay": 1e-2} if case == "weight_decay" else {}
     round_trip_at = 10 if case == "state_round_trip" else None
-
-    params_new = {k: v.copy() for k, v in start.items()}
-    params_ref = {k: v.copy() for k, v in start.items()}
-    got, opt = _run_steps(Adam(lr=1e-2, **kwargs), params_new, grads,
-                          round_trip_at, rebuild=lambda: Adam(lr=1e-2, **kwargs))
-    want, _ = _run_steps(_RefAdam(lr=1e-2, **kwargs), params_ref, grads)
-    for step, (a, b) in enumerate(zip(got, want)):
-        for key in start:
-            assert _same_bytes(a[key], b[key]), (step, key)
-    # the captured state is a copy: later steps must not move it
-    state = opt.get_state()
-    frozen = {slot: {k: np.array(v, copy=True) for k, v in slots.items()}
-              for slot, slots in state.items()}
-    opt.step([((i, k), params_new[k], grads[0][k])
-              for i, k in enumerate(params_new)])
-    for slot, slots in state.items():
-        for key, value in slots.items():
-            assert _same_bytes(value, frozen[slot][key]), (slot, key)
+    # one worker turns the split off; three cut the split slots into
+    # more ranges than this machine may have CPUs
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(optim, "_WORKERS", workers)
+        rng = np.random.default_rng(17)
+        start = {k: rng.normal(size=shape)
+                 for k, shape in _adam_shapes().items()}
+        params = {k: v.copy() for k, v in start.items()}
+        params_ref = {k: v.copy() for k, v in start.items()}
+        opt, ref = Adam(lr=1e-2, **kwargs), _RefAdam(lr=1e-2, **kwargs)
+        for step in range(20):
+            if step == round_trip_at:
+                state = opt.get_state()
+                opt = Adam(lr=1e-2, **kwargs)
+                opt.set_state(state)
+            grads = {
+                k: _with_negative_zeros(rng.normal(size=v.shape), rng, 0.1)
+                for k, v in start.items()
+            }
+            opt.step(_groups(params, grads))
+            ref.step(_groups(params_ref, grads))
+            for i, key in enumerate(start):
+                where = (workers, step, key)
+                assert _same_bytes(params[key], params_ref[key]), where
+                assert _same_bytes(opt._m[(i, key)], ref._m[(i, key)]), where
+                assert _same_bytes(opt._v[(i, key)], ref._v[(i, key)]), where
+        # the captured state is a copy: later steps must not move it
+        state = opt.get_state()
+        frozen = {slot: {k: np.array(v, copy=True) for k, v in slots.items()}
+                  for slot, slots in state.items()}
+        opt.step(_groups(params, grads))
+        for slot, slots in state.items():
+            for key, value in slots.items():
+                assert _same_bytes(value, frozen[slot][key]), (slot, key)
 
 
 # ----------------------------------------------------------------------
