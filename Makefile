@@ -14,6 +14,7 @@ test-threads:
 		tests/analysis/test_concurrency.py \
 		tests/analysis/test_interleave.py \
 		tests/dataplane/test_cache_threads.py \
+		tests/dataplane/test_stream.py \
 		tests/dataplane/test_stream_threads.py \
 		tests/litho/test_faults.py \
 		tests/nn/test_arena_threads.py \

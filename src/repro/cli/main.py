@@ -191,9 +191,6 @@ def build_detect_parser() -> argparse.ArgumentParser:
                         help="run a tiled streaming full-chip scan with "
                              "the trained model, T clip windows per "
                              "tile edge (default 0 = off)")
-    parser.add_argument("--shards", type=_positive_int, default=1,
-                        help="work-stealing tile shards of the "
-                             "streaming scan (default 1)")
     parser.add_argument("--scan-state", default=None, metavar="DIR",
                         help="state directory of the streaming scan "
                              "(per-tile verdicts + resume cursor; "
@@ -389,7 +386,7 @@ def detect_main(argv=None) -> int:
         from ..dataplane.stream import StreamConfig, scan_layout
 
         print(f"\nstreaming full-chip scan ({args.tile_size} clips per "
-              f"tile edge, {args.shards} shard(s))...")
+              "tile edge)...")
         scan_report = scan_layout(
             layout,
             clip_size,
@@ -400,7 +397,6 @@ def detect_main(argv=None) -> int:
             dataplane=plane_cfg,
             stream=StreamConfig(
                 tile_clips=args.tile_size,
-                shards=args.shards,
                 state_dir=args.scan_state,
                 incremental=args.incremental,
             ),

@@ -21,9 +21,9 @@ the AL framework's labelers and the bench harness:
   :class:`~repro.core.framework.FrameworkConfig`).
 * :class:`StreamScanner` / :func:`scan_layout` — tiled streaming
   full-chip detection over a :class:`~repro.layout.tiles.TileGrid`:
-  sharded work-stealing tile scheduling, per-tile verdict persistence,
-  crash resume and incremental re-detection after layout edits (see
-  :mod:`repro.dataplane.stream`).
+  tiles worked on every CPU and committed in lattice order, per-tile
+  verdict persistence, crash resume and incremental re-detection after
+  layout edits (see :mod:`repro.dataplane.stream`).
 
 Every request reports ``features_extracted`` / ``labels_computed``
 events with cache hit/miss counts on an optional
@@ -36,7 +36,6 @@ from .extract import BatchFeatureExtractor, FeatureBatch
 from .pool import chunked, imap_chunks
 from .stream import (
     ScanReport,
-    ShardScheduler,
     StreamConfig,
     StreamScanner,
     TileVerdictStore,
@@ -54,7 +53,6 @@ __all__ = [
     "chunked",
     "imap_chunks",
     "ScanReport",
-    "ShardScheduler",
     "StreamConfig",
     "StreamScanner",
     "TileVerdictStore",

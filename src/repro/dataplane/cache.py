@@ -27,7 +27,7 @@ The disk tier scales to full-chip streaming scans:
   budget.  :meth:`compact` reclaims leftover temp files and re-applies
   the budget offline.
 
-Thread safety: ``ShardScheduler`` threads and pool workers call
+Thread safety: streaming-scan tile workers and pool workers call
 ``get``/``put`` concurrently, so every access to the LRU structures
 happens under one re-entrant cache lock (a
 :class:`~repro.analysis.concurrency.TrackedRLock`, so lock-order

@@ -35,6 +35,7 @@ import numpy as np
 from ..analysis.contracts import contract
 from ..engine.events import EventBus
 from ..features.pipeline import FeatureExtractor
+from ..layout.clip import content_keys
 from .cache import FeatureCache, feature_key
 from .config import DataPlaneConfig
 from .pool import imap_chunks, on_timeout
@@ -120,10 +121,11 @@ class BatchFeatureExtractor:
         return self.cache.stats.as_dict()
 
     @contract(returns="f8[N,C,H,W]")
-    def encode_batch(self, clips) -> np.ndarray:
+    def encode_batch(self, clips, keys=None) -> np.ndarray:
         """DCT tensors ``(N, C, H, W)`` — chunked, cached, bit-identical
-        to ``FeatureExtractor.encode_batch``."""
-        return self._gather(clips, want_flat=False).tensors
+        to ``FeatureExtractor.encode_batch``.  ``keys`` passes the clips'
+        content keys when the caller already computed them."""
+        return self._gather(clips, want_flat=False, keys=keys).tensors
 
     @contract(returns="f8[N,D]")
     def flat_batch(self, clips) -> np.ndarray:
@@ -136,9 +138,10 @@ class BatchFeatureExtractor:
         return self._gather(clips, want_flat=True)
 
     # ------------------------------------------------------------------
-    def _gather(self, clips, want_flat: bool) -> FeatureBatch:
+    def _gather(self, clips, want_flat: bool, keys=None) -> FeatureBatch:
         started = time.perf_counter()
         clips = list(clips)
+        keys = content_keys(clips, keys)
         fx = self.extractor
         n = len(clips)
         tensors = np.zeros((n,) + fx.tensor_shape)
@@ -146,7 +149,6 @@ class BatchFeatureExtractor:
 
         # cache lookup, deduplicating identical geometry within the batch
         params = fx.params_key
-        keys = [clip.content_key() for clip in clips]
         pending: dict[str, int] = {}   # content key -> representative pos
         positions: dict[str, list[int]] = {}
         cache_hits = 0

@@ -1,4 +1,4 @@
-"""Tiled streaming full-chip scan: sharded, resumable, incremental.
+"""Tiled streaming full-chip scan: parallel, resumable, incremental.
 
 The AL loop of Algorithm 2 operates on an in-memory pool — the paper's
 setting, where the benchmark fits in RAM.  Scanning a production chip
@@ -10,18 +10,20 @@ plane this module replaces.  A :class:`StreamScanner` walks a
 * **streaming** — each tile's clips are cut lazily off the layout's
   bucket index, encoded through the cached
   :class:`~repro.dataplane.extract.BatchFeatureExtractor`, scored, and
-  released before the next tile is touched.  Peak memory is one tile's
-  worth of geometry and features regardless of chip size.
-* **sharding** — tiles are dealt round-robin onto per-shard work queues
-  drained by one worker thread each; an idle worker *steals* from the
-  back of the richest queue, so a shard that drew the dense corner of
-  the chip does not serialize the scan.  Threads do the geometry work
-  (bucket queries, content digests) concurrently; the compute step
-  (feature encoding / inference / litho labeling) is serialized under
-  one lock and parallelizes *internally* over the data-plane's chunk
-  thread pool (``DataPlaneConfig.workers``).
+  released, so memory holds a few tiles, never the chip.
+* **ordered tile pool** — the calling thread and one helper per other
+  CPU the process may use (:data:`~repro.nn.runtime.CPU_WORKERS`) each
+  take the next tile in lattice order and cut, digest, replay-check,
+  encode and score it whole.  One tile encodes at a time while the
+  others cut or score, whose gemm releases the GIL.  The calling thread
+  *commits* tiles strictly in lattice order (litho labeling, verdict
+  store, cursor, ``tile_scanned``), and every ``encode_batch`` and
+  ``score_fn`` call gets one tile's clips, so results are byte-equal at
+  any worker count.  At most ``2 * workers`` tiles are taken past the
+  oldest uncommitted one; a finished tile waiting for its commit holds
+  only its indices, scores and verdicts.
 * **resume + incremental re-detection** — with a ``state_dir``, every
-  finished tile persists its verdicts (:class:`TileVerdictStore`) and
+  committed tile persists its verdicts (:class:`TileVerdictStore`) and
   progress (:class:`~repro.engine.checkpoint.ScanCursor`).  Both replay
   by the same rule: a tile whose current content digest matches its
   stored one is **replayed bit-identically** from disk, never
@@ -31,33 +33,37 @@ plane this module replaces.  A :class:`StreamScanner` walks a
   extraction and inference.
 
 The scan emits ``scan_started`` / ``tile_scanned`` / ``scan_completed``
-events (tile-granular progress) and returns a :class:`ScanReport`.
+events (tile-granular progress, in lattice order) and returns a
+:class:`ScanReport`.  The plane's ``features_extracted`` events come
+from the tile workers, one encode at a time, not always in lattice
+order.
 """
 
 from __future__ import annotations
 
 import json
-import time
+import queue
 import threading
-from collections import deque
-from dataclasses import dataclass, field
+import time
+import warnings
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
 from ..analysis.concurrency import TrackedLock
-from ..analysis.interleave import trace_point
 from ..engine.checkpoint import ScanCursor
 from ..engine.events import EventBus
+from ..layout.clip import content_keys
 from ..layout.layout import Layout
 from ..layout.tiles import Tile, TileGrid
+from ..nn.runtime import CPU_WORKERS
 from .config import DataPlaneConfig
 from .extract import BatchFeatureExtractor
 
 __all__ = [
     "ScanReport",
-    "ShardScheduler",
     "StreamConfig",
     "StreamScanner",
     "TileVerdictStore",
@@ -68,6 +74,10 @@ __all__ = [
 #: ``score_fn`` contract: ``(N, C, H, W)`` float64 tensors in, ``(N,)``
 #: hotspot probabilities out
 ScoreFn = Callable[[np.ndarray], np.ndarray]
+
+#: tile workers of a scan: the calling thread plus one helper per other
+#: CPU this process may use
+_WORKERS = CPU_WORKERS
 
 
 @dataclass(frozen=True)
@@ -80,9 +90,9 @@ class StreamConfig:
         Tile edge length in clip windows (see
         :class:`~repro.layout.tiles.TileGrid`).
     shards:
-        Work-queue/worker count of the :class:`ShardScheduler`.  ``1``
-        (default) scans tiles in lattice order on the calling thread's
-        schedule — fully deterministic event order.
+        Deprecated and ignored: a scan works its tiles on every CPU the
+        process may use.  It is still validated, and any value other
+        than ``1`` raises a :class:`DeprecationWarning`.
     state_dir:
         Directory for the verdict store + scan cursor; ``None``
         disables persistence (and with it resume/incremental replay).
@@ -107,6 +117,13 @@ class StreamConfig:
             )
         if self.shards <= 0:
             raise ValueError(f"shards must be positive, got {self.shards}")
+        if self.shards != 1:
+            warnings.warn(
+                "StreamConfig.shards is deprecated and ignored: a scan "
+                "works its tiles on every CPU the process may use",
+                DeprecationWarning,
+                stacklevel=3,
+            )
         if not 0.0 < self.threshold < 1.0:
             raise ValueError(
                 f"threshold must be in (0, 1), got {self.threshold}"
@@ -114,100 +131,110 @@ class StreamConfig:
 
 
 # ----------------------------------------------------------------------
-# work-stealing shard scheduler
+# ordered tile pool
 # ----------------------------------------------------------------------
-class ShardScheduler:
-    """Per-shard deques drained by worker threads, with work stealing.
+def _attempt(work: Callable[[Any], Any], item: Any) -> Any:
+    """``work(item)``, or the exception it raised (re-raised when the
+    item's turn to commit comes)."""
+    try:
+        return work(item)
+    except BaseException as exc:  # noqa: BLE001 - re-raised in item order
+        return exc
 
-    Items are dealt round-robin onto ``shards`` queues.  Each worker
-    pops from the *front* of its own queue and, when empty, steals from
-    the *back* of the richest other queue — the classic deque
-    discipline, so owners and thieves rarely contend on the same end.
-    ``on_result`` calls are serialized (one at a time, in completion
-    order), which is what lets callers flush cursors and aggregate into
-    plain lists from inside the callback.  The queue lock is a
-    :class:`~repro.analysis.concurrency.TrackedLock`, so any lock-order
-    inversion a callback introduces is reported under ``REPRO_CHECK``.
 
-    The first exception raised by ``work`` or ``on_result`` stops the
-    scheduler and is re-raised from :meth:`run`; items already
-    completed stay completed (their ``on_result`` ran).
+def _run_ordered(
+    items: Sequence[Any],
+    work: Callable[[Any], Any],
+    commit: Callable[[Any, Any], None],
+    workers: int,
+) -> None:
+    """Run ``work(item)`` for every item and ``commit(item, result)`` in
+    item order.
+
+    The calling thread and ``workers - 1`` daemon helpers each take the
+    next item; at most ``2 * workers`` items are taken past the oldest
+    uncommitted one.  ``commit`` runs on the calling thread, outside the
+    pool's lock.  The first exception in item order, from ``work`` or
+    ``commit``, or an interrupt of the calling thread, is raised once
+    every helper has stopped: the items before it are committed, none
+    after it.  One worker, or one item, runs inline.
     """
+    workers = min(workers, len(items))
+    if workers <= 1:
+        for item in items:
+            commit(item, work(item))
+        return
 
-    def __init__(self, shards: int) -> None:
-        if shards <= 0:
-            raise ValueError(f"shards must be positive, got {shards}")
-        self.shards = shards
+    lock = TrackedLock("tile-pool")
+    #: one permit per item taken and not yet committed
+    slots = threading.Semaphore(2 * workers)
+    #: ``(index, result or exception)`` of the items helpers finished
+    done: queue.SimpleQueue = queue.SimpleQueue()
+    taken = 0
+    stopped = False
 
-    def run(
-        self,
-        items: Iterable[Any],
-        work: Callable[[Any], Any],
-        on_result: Callable[[Any, Any], None] | None = None,
-    ) -> dict:
-        """Process every item; returns ``{"steals", "per_shard"}``."""
-        queues: list[deque] = [deque() for _ in range(self.shards)]
-        for i, item in enumerate(items):
-            queues[i % self.shards].append(item)
+    def take(block: bool = True) -> int | None:
+        """The next item, once the window has room for it; ``None``
+        when none is left, or when the window is full and ``block`` is
+        false."""
+        nonlocal taken
+        if not slots.acquire(blocking=block):
+            return None
+        with lock:
+            index = None if stopped or taken == len(items) else taken
+            if index is not None:
+                taken += 1
+        if index is None:
+            slots.release()
+        return index
 
-        lock = TrackedLock("shard-scheduler")
-        stop = threading.Event()
-        errors: list[BaseException] = []
-        stats = {"steals": 0, "per_shard": [0] * self.shards}
-        _EMPTY = object()
+    def stop() -> None:
+        nonlocal stopped
+        with lock:
+            stopped = True
 
-        def take(me: int) -> tuple[Any, bool]:
-            with lock:
-                if queues[me]:
-                    return queues[me].popleft(), False
-                victim = None
-                richest = 0
-                for i, queue in enumerate(queues):
-                    if i != me and len(queue) > richest:
-                        richest = len(queue)
-                        victim = queue
-                if victim is not None:
-                    return victim.pop(), True
-            return _EMPTY, False
+    def helper() -> None:
+        index = take()
+        while index is not None:
+            result = _attempt(work, items[index])
+            if isinstance(result, BaseException):
+                stop()
+            done.put((index, result))
+            index = take()
 
-        def worker(me: int) -> None:
-            while not stop.is_set():
-                item, stolen = take(me)
-                if item is _EMPTY:
-                    return
-                trace_point("scheduler.item.taken")
-                try:
-                    result = work(item)
-                    with lock:
-                        stats["per_shard"][me] += 1  # type: ignore[index]
-                        if stolen:
-                            stats["steals"] += 1  # type: ignore[operator]
-                        if on_result is not None:
-                            on_result(item, result)
-                        trace_point("scheduler.item.done")
-                except BaseException as exc:  # noqa: BLE001 - re-raised
-                    with lock:
-                        errors.append(exc)
-                    stop.set()
-                    return
-
-        if self.shards == 1:
-            # single shard: run inline, no thread hop, deterministic
-            worker(0)
-        else:
-            threads = [
-                threading.Thread(
-                    target=worker, args=(i,), name=f"scan-shard-{i}"
-                )
-                for i in range(self.shards)
-            ]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
-        if errors:
-            raise errors[0]
-        return stats
+    finished: dict[int, Any] = {}
+    helpers: list[threading.Thread] = []
+    try:
+        for number in range(1, workers):
+            thread = threading.Thread(
+                target=helper, name=f"scan-tile-{number}", daemon=True
+            )
+            thread.start()
+            helpers.append(thread)
+        for index, item in enumerate(items):
+            while index not in finished:
+                # work the next item while no helper result waits;
+                # otherwise, or when the window is full, collect one
+                mine = take(block=False) if done.empty() else None
+                if mine is None:
+                    got, result = done.get()
+                    finished[got] = result
+                    continue
+                finished[mine] = _attempt(work, items[mine])
+                if isinstance(finished[mine], BaseException):
+                    stop()
+            result = finished.pop(index)
+            if isinstance(result, BaseException):
+                raise result
+            commit(item, result)
+            slots.release()
+    finally:
+        # wake the helpers waiting for room in the window
+        stop()
+        for _ in helpers:
+            slots.release()
+        for thread in helpers:
+            thread.join()
 
 
 # ----------------------------------------------------------------------
@@ -298,7 +325,6 @@ class ScanReport:
     rescored_tiles: int
     replayed_clips: int
     rescored_clips: int
-    steals: int
     scan_seconds: float
     #: flagged clips, ascending clip index; each entry carries
     #: ``index``, ``window`` (absolute nm, ``[x0, y0, x1, y1]``) and
@@ -308,21 +334,7 @@ class ScanReport:
     manifest: dict[str, str] = field(default_factory=dict)
 
     def as_dict(self) -> dict:
-        return {
-            "layout": self.layout,
-            "n_tiles": self.n_tiles,
-            "n_windows": self.n_windows,
-            "n_clips": self.n_clips,
-            "n_hotspots": self.n_hotspots,
-            "replayed_tiles": self.replayed_tiles,
-            "rescored_tiles": self.rescored_tiles,
-            "replayed_clips": self.replayed_clips,
-            "rescored_clips": self.rescored_clips,
-            "steals": self.steals,
-            "scan_seconds": self.scan_seconds,
-            "hotspots": self.hotspots,
-            "manifest": self.manifest,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -334,6 +346,9 @@ class _TileResult:
     verdicts: list[int]
     replayed: bool
     seconds: float
+    #: the tile's clips, kept for litho labeling at commit (labeler
+    #: scans only)
+    clips: list | None = None
 
 
 # ----------------------------------------------------------------------
@@ -342,13 +357,21 @@ class _TileResult:
 class StreamScanner:
     """Streaming hotspot scan of full-chip layouts.
 
+    A scan works tiles on the calling thread and one helper per other
+    CPU, so ``score_fn`` runs on up to that many threads at once and the
+    ``plane`` is called from each of them, one encode at a time.
+    :func:`model_score_fn` is safe to call so: the workspace arena is
+    per thread, the weights are only read, and inference only clears
+    layer caches.  Litho labeling, persistence and events run on the
+    calling thread in lattice order.
+
     Parameters
     ----------
     grid:
         The tiled clip-window lattice to scan.
     plane:
         Cache-aware batch extractor; its :class:`DataPlaneConfig`
-        decides chunking and thread-pool width of the compute step.
+        decides chunking and the chunk pool of each tile's encoding.
     score_fn:
         ``(N, C, H, W)`` tensors → ``(N,)`` hotspot probabilities
         (build one from a trained classifier with
@@ -362,7 +385,9 @@ class StreamScanner:
         Optional :class:`~repro.litho.labeler.LithoLabeler`; when
         present, tile verdicts come from simulation (``label_batch``
         fans out over the data-plane pool) instead of thresholded
-        scores.  Access is serialized so its query meter stays exact.
+        scores.  It is called at commit, in lattice order, so its
+        query meter and any fault draws see the order of a one-thread
+        scan.
     """
 
     def __init__(
@@ -382,58 +407,26 @@ class StreamScanner:
         self.config = config if config is not None else StreamConfig()
         self.bus = bus
         self.labeler = labeler
-        #: serializes feature encoding / inference / litho labeling —
-        #: scoring batches out of order would scramble the litho query
-        #: meter; parallelism of the compute step lives in the plane's
-        #: own chunk pool.  Tracked, so holding it across a cache/bus
-        #: acquisition keeps the lock-order graph observable.
-        self._compute_lock = TrackedLock("scanner-compute")
 
     # ------------------------------------------------------------------
-    def _score_tile(self, clips: list) -> tuple[list[float], list[int]]:
-        """Scores + verdicts of one tile's clips (compute-serialized)."""
-        dp: DataPlaneConfig = self.plane.config
-        with self._compute_lock:
-            if self.score_fn is not None:
-                tensors = self.plane.encode_batch(clips)
-                scores_arr = np.asarray(self.score_fn(tensors), dtype=float)
-                if scores_arr.shape != (len(clips),):
-                    raise ValueError(
-                        f"score_fn returned shape {scores_arr.shape}, "
-                        f"expected ({len(clips)},)"
-                    )
-                scores = [float(s) for s in scores_arr]
-            else:
-                scores = []
-            if self.labeler is not None:
-                verdicts = [
-                    int(v)
-                    for v in self.labeler.label_batch(
-                        clips,
-                        chunk_size=dp.chunk_size,
-                        workers=dp.workers,
-                        timeout=dp.task_timeout,
-                    )
-                ]
-            else:
-                verdicts = [
-                    int(s >= self.config.threshold) for s in scores
-                ]
-        if not scores:
-            scores = [float(v) for v in verdicts]
-        return scores, verdicts
-
-    def _scan_tile(
+    def _work_tile(
         self,
         layout: Layout,
         tile: Tile,
         cursor: ScanCursor | None,
         store: TileVerdictStore | None,
+        encode_lock: TrackedLock,
     ) -> _TileResult:
+        """Cut, digest, replay-check, encode and score one tile (on
+        any worker thread; ``encode_lock`` admits one encode at a
+        time)."""
         started = time.perf_counter()
         clips = list(self.grid.iter_clips(layout, tile))
-        digest = TileGrid.digest_clips(clips)
+        keys = content_keys(clips)
+        digest = TileGrid.digest_clips(clips, keys)
 
+        # a tile's cursor entry changes only at its own commit, which
+        # comes after this check
         if (
             self.config.incremental
             and cursor is not None
@@ -452,22 +445,49 @@ class StreamScanner:
                     seconds=time.perf_counter() - started,
                 )
 
-        indices = [clip.index for clip in clips]
-        if clips:
-            scores, verdicts = self._score_tile(clips)
-        else:
-            scores, verdicts = [], []
-        if store is not None:
-            store.save(tile.key, digest, indices, scores, verdicts)
+        scores: list[float] = []
+        if clips and self.score_fn is not None:
+            with encode_lock:
+                tensors = self.plane.encode_batch(clips, keys=keys)
+            scores_arr = np.asarray(self.score_fn(tensors), dtype=float)
+            if scores_arr.shape != (len(clips),):
+                raise ValueError(
+                    f"score_fn returned shape {scores_arr.shape}, "
+                    f"expected ({len(clips)},)"
+                )
+            scores = [float(s) for s in scores_arr]
+        labeling = bool(clips) and self.labeler is not None
         return _TileResult(
             tile=tile,
             digest=digest,
-            indices=indices,
+            indices=[clip.index for clip in clips],
             scores=scores,
-            verdicts=verdicts,
+            verdicts=(
+                [] if labeling
+                else [int(s >= self.config.threshold) for s in scores]
+            ),
             replayed=False,
             seconds=time.perf_counter() - started,
+            clips=clips if labeling else None,
         )
+
+    def _label(self, result: _TileResult) -> None:
+        """Litho verdicts of a worked tile (on the calling thread)."""
+        started = time.perf_counter()
+        dp: DataPlaneConfig = self.plane.config
+        result.verdicts = [
+            int(v)
+            for v in self.labeler.label_batch(
+                result.clips,
+                chunk_size=dp.chunk_size,
+                workers=dp.workers,
+                timeout=dp.task_timeout,
+            )
+        ]
+        if not result.scores:
+            result.scores = [float(v) for v in result.verdicts]
+        result.clips = None
+        result.seconds += time.perf_counter() - started
 
     # ------------------------------------------------------------------
     def scan(self, layout: Layout) -> ScanReport:
@@ -488,6 +508,7 @@ class StreamScanner:
                 cursor.done = {}
 
         tiles = grid.tiles()
+        workers = max(1, min(_WORKERS, len(tiles)))
         if self.bus is not None:
             self.bus.emit(
                 "scan_started",
@@ -495,20 +516,25 @@ class StreamScanner:
                 n_tiles=len(tiles),
                 n_windows=grid.n_windows,
                 tile_clips=cfg.tile_clips,
-                shards=cfg.shards,
+                workers=workers,
                 incremental=bool(cfg.incremental and cfg.state_dir),
             )
 
         results: list[_TileResult] = []
 
-        def on_result(tile: Tile, result: _TileResult) -> None:
-            # scheduler-serialized: cursor flushes and the results list
-            # are safe here and nowhere else off the main thread (the
-            # bus serializes its own dispatch)
-            results.append(result)
-            if cursor is not None:
-                cursor.mark(tile.key, result.digest)
+        def commit(tile: Tile, result: _TileResult) -> None:
+            # the calling thread, in lattice order: a tile is persisted
+            # exactly when it is committed
+            if result.clips is not None:
+                self._label(result)
+            if store is not None and not result.replayed:
+                store.save(
+                    tile.key, result.digest, result.indices,
+                    result.scores, result.verdicts,
+                )
+            if cursor is not None and cursor.mark(tile.key, result.digest):
                 cursor.save()
+            results.append(result)
             if self.bus is not None:
                 self.bus.emit(
                     "tile_scanned",
@@ -521,17 +547,21 @@ class StreamScanner:
                     tile_seconds=result.seconds,
                 )
 
-        scheduler = ShardScheduler(cfg.shards)
-        stats = scheduler.run(
+        # one tile encodes at a time: an encode's raster and DCT buffers
+        # are a tile's largest, so the memory peak stays one encode at
+        # any worker count, and two encodes mostly contend for the GIL
+        encode_lock = TrackedLock("scan-encode")
+        _run_ordered(
             tiles,
-            lambda tile: self._scan_tile(layout, tile, cursor, store),
-            on_result,
+            lambda tile: self._work_tile(
+                layout, tile, cursor, store, encode_lock
+            ),
+            commit,
+            workers,
         )
         if cursor is not None:
             cursor.save()
 
-        # aggregate in lattice order regardless of completion order
-        results.sort(key=lambda r: (r.tile.ty, r.tile.tx))
         hotspots: list[dict] = []
         for result in results:
             for index, score, verdict in zip(
@@ -568,7 +598,6 @@ class StreamScanner:
             rescored_tiles=len(rescored),
             replayed_clips=sum(len(r.indices) for r in replayed),
             rescored_clips=sum(len(r.indices) for r in rescored),
-            steals=int(stats["steals"]),  # type: ignore[arg-type]
             scan_seconds=time.perf_counter() - scan_start,
             hotspots=hotspots,
             manifest=manifest,
@@ -583,7 +612,6 @@ class StreamScanner:
                 rescored_tiles=report.rescored_tiles,
                 replayed_clips=report.replayed_clips,
                 rescored_clips=report.rescored_clips,
-                steals=report.steals,
                 scan_seconds=report.scan_seconds,
             )
         return report

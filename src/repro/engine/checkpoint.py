@@ -311,8 +311,12 @@ class ScanCursor:
         """``True`` when ``key`` completed with exactly this digest."""
         return self.done.get(key) == digest
 
-    def mark(self, key: str, digest: str) -> None:
+    def mark(self, key: str, digest: str) -> bool:
+        """Record ``key`` as completed with ``digest``; ``True`` when
+        that changed the cursor (so it needs saving)."""
+        changed = self.done.get(key) != digest
         self.done[key] = digest
+        return changed
 
     def save(self) -> Path:
         self.path.parent.mkdir(parents=True, exist_ok=True)

@@ -48,7 +48,8 @@ labelers rather than the framework stages):
 ``features_extracted``
     ``n_clips, cache_hits, cache_misses, deduped, chunks, chunk_size,
     workers, kinds, cache_stats, extract_seconds`` — one per batch
-    extraction request.
+    extraction request.  During a streaming scan they come from the
+    tile workers, so two tiles' events may arrive in either order.
 ``labels_computed``
     ``n_clips, cache_hits, cache_misses, deduped, simulated_seconds,
     label_seconds`` — one per batch labeling request; ``cache_misses``
@@ -69,16 +70,18 @@ labelers rather than the framework stages):
 Streaming-scan events (see :mod:`repro.dataplane.stream`):
 
 ``scan_started``
-    ``layout, n_tiles, n_windows, tile_clips, shards, incremental`` —
-    once at the top of a tiled full-chip scan.
+    ``layout, n_tiles, n_windows, tile_clips, workers, incremental`` —
+    once at the top of a tiled full-chip scan; ``workers`` threads (the
+    caller and its helpers) work its tiles.
 ``tile_scanned``
     ``tile, n_clips, n_hotspots, replayed, tiles_done, n_tiles,
-    tile_seconds`` — one per completed tile (``replayed`` tiles served
-    their verdicts from the tile store instead of re-scoring).
+    tile_seconds`` — one per committed tile, in lattice order
+    (``replayed`` tiles served their verdicts from the tile store
+    instead of re-scoring).
 ``scan_completed``
     ``n_tiles, n_clips, n_hotspots, replayed_tiles, rescored_tiles,
-    replayed_clips, rescored_clips, steals, scan_seconds`` — once after
-    the last tile; the summary half of a
+    replayed_clips, rescored_clips, scan_seconds`` — once after the
+    last tile; the summary half of a
     :class:`~repro.dataplane.stream.ScanReport`.
 
 Serving events (see :mod:`repro.serve`):
@@ -212,9 +215,9 @@ class EventBus:
     ``kinds`` only sees those event kinds.  Emitting an unknown kind is
     a programming error and raises immediately.
 
-    Thread safety: scanner shards and pool workers emit
-    ``tile_scanned``/``cache_evicted`` from their own threads, so the
-    subscriber list, the sequence counter, **and dispatch itself** are
+    Thread safety: scan tile workers and pool workers emit
+    ``features_extracted``/``cache_evicted`` from their own threads, so
+    the subscriber list, the sequence counter, **and dispatch itself** are
     serialized under one re-entrant tracked lock — handlers never run
     concurrently with each other and sequence numbers match delivery
     order.  Two consequences for handler authors: a handler may emit
@@ -371,7 +374,7 @@ _PROGRESS_LINES = {
     "serve_circuit_closed": "  serve: circuit closed (recovered from "
                             "{recovered_from})",
     "scan_started": "scan {layout}: {n_tiles} tiles ({n_windows} windows, "
-                    "{shards} shards{incremental_note})",
+                    "{workers} workers{incremental_note})",
     "tile_scanned": "  tile {tile} [{tiles_done}/{n_tiles}]: {n_clips} "
                     "clips, {n_hotspots} hotspots{replayed_note}",
     "scan_completed": "scan done: {n_hotspots} hotspots in {n_clips} "

@@ -19,7 +19,7 @@ from .geometry import Rect
 from .layout import Layout
 from .raster import rasterize
 
-__all__ = ["Clip", "extract_clip", "extract_clip_grid"]
+__all__ = ["Clip", "content_keys", "extract_clip", "extract_clip_grid"]
 
 
 @dataclass
@@ -116,6 +116,18 @@ class Clip:
             f"Clip(#{self.index} window={self.window.as_tuple()} "
             f"{len(self.rects)} rects)"
         )
+
+
+def content_keys(clips, keys=None) -> list[str]:
+    """Every clip's :meth:`Clip.content_key`, or ``keys`` (a caller's
+    precomputed ones) checked against the clip count."""
+    if keys is None:
+        return [clip.content_key() for clip in clips]
+    if len(keys) != len(clips):
+        raise ValueError(
+            f"got {len(keys)} content keys for {len(clips)} clips"
+        )
+    return list(keys)
 
 
 def extract_clip(

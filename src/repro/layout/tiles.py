@@ -29,9 +29,9 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Sequence
 
-from .clip import Clip
+from .clip import Clip, content_keys
 from .geometry import Rect
 from .layout import Layout
 
@@ -235,19 +235,24 @@ class TileGrid:
     # content digests (incremental re-detection)
     # ------------------------------------------------------------------
     @staticmethod
-    def digest_clips(clips: list[Clip]) -> str:
+    def digest_clips(
+        clips: list[Clip], keys: Sequence[str] | None = None
+    ) -> str:
         """Content digest of one tile's clips.
 
         Folds ``index:content_key`` per clip so both the geometry and
         its lattice placement are covered; a tile whose clips merely
         shifted windows therefore re-scores.  An empty tile digests to
-        the :data:`EMPTY_TILE_DIGEST` sentinel.
+        the :data:`EMPTY_TILE_DIGEST` sentinel.  ``keys`` passes the
+        clips' :meth:`~repro.layout.clip.Clip.content_key` strings when
+        the caller already holds them.
         """
+        keys = content_keys(clips, keys)
         if not clips:
             return EMPTY_TILE_DIGEST
         folded = hashlib.sha256()
-        for clip in clips:
-            folded.update(f"{clip.index}:{clip.content_key()}\n".encode())
+        for clip, key in zip(clips, keys):
+            folded.update(f"{clip.index}:{key}\n".encode())
         return folded.hexdigest()[:32]
 
     def tile_digest(self, layout: Layout, tile: Tile) -> str:

@@ -33,7 +33,7 @@ from functools import partial
 import numpy as np
 
 from ..analysis.concurrency import TrackedLock
-from .runtime import WorkspaceArena
+from .runtime import CPU_WORKERS, WorkspaceArena
 
 __all__ = [
     "Optimizer",
@@ -107,11 +107,7 @@ _BLOCK = 32768
 #: a slot of at least this many blocks is split across the CPUs
 _SPLIT_BLOCKS = 4
 #: ranges a split slot is cut into: one per CPU this process may use
-_WORKERS = (
-    len(os.sched_getaffinity(0))
-    if hasattr(os, "sched_getaffinity")
-    else os.cpu_count() or 1
-)
+_WORKERS = CPU_WORKERS
 
 #: block scratch; thread-local, so every helper has its own buffers
 _ARENA = WorkspaceArena()

@@ -17,6 +17,8 @@ this module:
 * :class:`ComputeRuntime` bundles one policy with one arena; layers and
   networks resolve the runtime per call (explicit argument → owning
   network → process default).
+* :data:`CPU_WORKERS` is the number of CPUs this process may use: the
+  width of Adam's split step and of the streaming scan's tile pool.
 
 This is the single sanctioned home of float32 in ``repro.nn`` /
 ``repro.features`` — reprolint rule R002 allowlists exactly this file, so
@@ -25,6 +27,7 @@ a stray downcast anywhere else in the kernel packages still fails lint.
 
 from __future__ import annotations
 
+import os
 import threading
 from contextlib import contextmanager
 from typing import Iterator
@@ -34,6 +37,7 @@ import numpy as np
 from ..analysis.interleave import trace_point
 
 __all__ = [
+    "CPU_WORKERS",
     "PRECISION_MODES",
     "PrecisionPolicy",
     "WorkspaceArena",
@@ -45,6 +49,13 @@ __all__ = [
 
 #: supported precision modes: bit-exact float64 vs float32 fast compute
 PRECISION_MODES = ("exact", "fast")
+
+#: CPUs this process may use (its affinity mask where the OS has one)
+CPU_WORKERS = (
+    len(os.sched_getaffinity(0))
+    if hasattr(os, "sched_getaffinity")
+    else os.cpu_count() or 1
+)
 
 
 class PrecisionPolicy:

@@ -66,7 +66,7 @@ class TestDetect:
         state = tmp_path / "scan-state"
         argv = [small_glp, "--iterations", "2", "--batch", "10",
                 "--init-train", "20", "--val-size", "16",
-                "--seed", "0", "--tile-size", "4", "--shards", "2",
+                "--seed", "0", "--tile-size", "4",
                 "--scan-state", str(state),
                 "--feature-cache", str(tmp_path / "fc"),
                 "--cache-shards", "2",

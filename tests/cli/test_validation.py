@@ -1,7 +1,7 @@
 """Argument validation of the ``repro`` CLI parsers.
 
-Regression tests for the silent-clamp bug: ``--shards 0``,
-``--batch 0`` and friends used to be accepted at parse time and
+Regression tests for the silent-clamp bug: ``--batch 0``,
+``--chunk-size 0`` and friends used to be accepted at parse time and
 clamped (or crash) deep inside the run — now argparse rejects them
 with a clear message and exit code 2.
 """
@@ -25,8 +25,8 @@ class TestDetectValidation:
         [
             ["--batch", "0"],
             ["--batch", "-3"],
-            ["--shards", "0"],
-            ["--shards", "-1"],
+            ["--core-margin", "0"],
+            ["--chaos-faults", "-1"],
             ["--chunk-size", "0"],
             ["--iterations", "0"],
             ["--query", "0"],
@@ -63,7 +63,7 @@ class TestDetectValidation:
         "flags",
         [
             ["--batch", "two"],
-            ["--shards", "1.5"],
+            ["--chunk-size", "1.5"],
             ["--workers", "many"],
             ["--stage-timeout", "soon"],
         ],
@@ -77,13 +77,12 @@ class TestDetectValidation:
     def test_accepts_valid_values(self):
         args = _parse_detect(
             [
-                "--batch", "5", "--shards", "2", "--workers", "0",
+                "--batch", "5", "--workers", "0",
                 "--tile-size", "0", "--cache-shards", "0",
                 "--stage-timeout", "1.5",
             ]
         )
         assert args.batch == 5
-        assert args.shards == 2
         assert args.workers == 0  # zero means in-process, still legal
         assert args.tile_size == 0
         assert args.stage_timeout == 1.5

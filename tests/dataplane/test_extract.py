@@ -158,6 +158,39 @@ class TestEvents:
         assert "extract" in log.stage_seconds()
 
 
+class TestContentKeys:
+    def test_given_keys_encode_and_cache_as_computed_ones(
+        self, clips, eager, tmp_path
+    ):
+        keys = [clip.content_key() for clip in clips]
+        dirs = {}
+        for name, given in (("given", keys), ("computed", None)):
+            dirs[name] = tmp_path / name
+            plane = BatchFeatureExtractor(
+                FeatureExtractor(grid=96),
+                DataPlaneConfig(chunk_size=4, disk_cache_dir=str(dirs[name])),
+            )
+            tensors = plane.encode_batch(clips, keys=given)
+            assert tensors.tobytes() == eager[0].tobytes()
+        entries = {
+            name: sorted(p.name for p in root.rglob("*.npz"))
+            for name, root in dirs.items()
+        }
+        assert entries["given"] == entries["computed"]
+        assert len(entries["given"]) == len(clips)
+        for entry in entries["given"]:
+            with np.load(dirs["given"] / entry) as given, np.load(
+                dirs["computed"] / entry
+            ) as computed:
+                assert given["data"].tobytes() == computed["data"].tobytes()
+
+    def test_wrong_number_of_keys_rejected(self, clips):
+        plane = BatchFeatureExtractor(FeatureExtractor(grid=96))
+        keys = [clip.content_key() for clip in clips]
+        with pytest.raises(ValueError, match="content keys"):
+            plane.encode_batch(clips, keys=keys[:-1])
+
+
 class TestConfig:
     def test_defaults_are_safe(self):
         cfg = DataPlaneConfig()

@@ -1,6 +1,7 @@
 """Tests for the tiled streaming scan (repro.dataplane.stream)."""
 
 import json
+import threading
 
 import numpy as np
 import pytest
@@ -9,13 +10,15 @@ from repro.data.synth import DUV_RULES, generate_layout
 from repro.dataplane import (
     BatchFeatureExtractor,
     DataPlaneConfig,
-    ShardScheduler,
     StreamConfig,
     StreamScanner,
     TileVerdictStore,
     scan_layout,
 )
+from repro.dataplane import stream
+from repro.dataplane.stream import _run_ordered
 from repro.engine import EventBus, EventLog
+from repro.engine.checkpoint import ScanCursor
 from repro.features import FeatureExtractor
 from repro.layout import Layout, Rect, TileGrid
 
@@ -37,79 +40,117 @@ def density_score(tensors):
     return np.clip(energy * 40.0, 0.0, 1.0)
 
 
-def make_scanner(chip, tmp_path=None, shards=1, incremental=True,
-                 bus=None, tile_clips=2):
+def make_scanner(chip, tmp_path=None, incremental=True, bus=None,
+                 tile_clips=2, score_fn=density_score):
     grid = TileGrid.for_layout(chip, CLIP, MARGIN, tile_clips=tile_clips)
     plane = BatchFeatureExtractor(
         FeatureExtractor(grid=96), DataPlaneConfig(chunk_size=8)
     )
     config = StreamConfig(
         tile_clips=tile_clips,
-        shards=shards,
         state_dir=None if tmp_path is None else str(tmp_path),
         incremental=incremental,
     )
-    return StreamScanner(grid, plane, density_score, config, bus=bus)
+    return StreamScanner(grid, plane, score_fn, config, bus=bus)
 
 
-class TestShardScheduler:
+def hook_tile(scanner, chip, index, action):
+    """Call ``action()`` when ``scanner`` encodes the ``index``-th tile
+    in lattice order, on whichever thread works it."""
+    grid = scanner.grid
+    [first, *_] = grid.iter_clips(chip, grid.tiles()[index])
+    encode = scanner.plane.encode_batch
+
+    def hooked(clips, keys=None):
+        if clips[0].index == first.index:
+            action()
+        return encode(clips, keys=keys)
+
+    scanner.plane.encode_batch = hooked
+
+
+def state_files(root):
+    """``{relative path: bytes}`` of every file a scan persisted."""
+    return {
+        path.relative_to(root).as_posix(): path.read_bytes()
+        for path in sorted(root.rglob("*"))
+        if path.is_file()
+    }
+
+
+class TestTilePool:
     def test_processes_every_item(self):
         out = []
-        stats = ShardScheduler(3).run(
-            range(25), lambda x: x * x, lambda item, r: out.append(r)
+        _run_ordered(
+            list(range(25)), lambda x: x * x,
+            lambda item, r: out.append((item, r)), workers=3,
         )
-        assert sorted(out) == [x * x for x in range(25)]
-        assert sum(stats["per_shard"]) == 25
+        assert out == [(x, x * x) for x in range(25)]
 
-    def test_single_shard_preserves_order(self):
+    def test_single_worker_runs_inline(self):
+        threads = []
         out = []
-        ShardScheduler(1).run(
-            range(10), lambda x: x, lambda item, r: out.append(r)
+
+        def work(x):
+            threads.append(threading.current_thread())
+            return x
+
+        _run_ordered(
+            list(range(10)), work, lambda item, r: out.append(r), workers=1
         )
         assert out == list(range(10))
+        assert set(threads) == {threading.current_thread()}
 
-    def test_on_result_is_serialized(self):
-        # concurrent on_result calls would interleave these two appends
+    def test_commits_run_on_calling_thread_in_order(self):
         trace = []
 
-        def on_result(item, result):
-            trace.append(("enter", item))
-            trace.append(("exit", item))
+        def commit(item, result):
+            trace.append((item, threading.current_thread()))
 
-        ShardScheduler(4).run(range(40), lambda x: x, on_result)
-        for i in range(0, len(trace), 2):
-            assert trace[i][0] == "enter"
-            assert trace[i + 1] == ("exit", trace[i][1])
+        _run_ordered(list(range(40)), lambda x: x, commit, workers=4)
+        assert trace == [
+            (i, threading.current_thread()) for i in range(40)
+        ]
 
     def test_work_exception_propagates(self):
+        committed = []
+
         def work(x):
             if x == 7:
                 raise RuntimeError("boom")
             return x
 
         with pytest.raises(RuntimeError, match="boom"):
-            ShardScheduler(2).run(range(20), work)
+            _run_ordered(
+                list(range(20)), work,
+                lambda item, r: committed.append(item), workers=2,
+            )
+        assert committed == list(range(7))
 
-    def test_steals_counted_on_imbalanced_queues(self):
-        import time
+    def test_slow_early_items_commit_in_order(self):
+        """Item 0 finishes only after item 3 did; the commits still
+        come in item order and nothing runs past the window."""
+        item3_done = threading.Event()
+        lock = threading.Lock()
+        taken = []
+        committed = []
 
-        # shard 0 gets slow items (round-robin), shard 1 finishes its
-        # own queue and must steal to finish the job
         def work(x):
-            if x % 2 == 0:
-                time.sleep(0.02)
+            with lock:
+                taken.append((x, len(committed)))
+            if x == 0:
+                assert item3_done.wait(timeout=60.0)
+            if x == 3:
+                item3_done.set()
             return x
 
-        out = []
-        stats = ShardScheduler(2).run(
-            range(12), work, lambda item, r: out.append(r)
+        _run_ordered(
+            list(range(12)), work,
+            lambda item, r: committed.append(r), workers=2,
         )
-        assert sorted(out) == list(range(12))
-        assert stats["steals"] >= 1
-
-    def test_invalid_shards_rejected(self):
-        with pytest.raises(ValueError):
-            ShardScheduler(0)
+        assert committed == list(range(12))
+        # at most 2 * workers items taken past the oldest uncommitted
+        assert all(x - n_committed < 4 for x, n_committed in taken)
 
 
 class TestTileVerdictStore:
@@ -157,11 +198,136 @@ class TestStreamScanner:
         assert report.n_clips == len(clips)
         assert report.rescored_tiles == report.n_tiles
 
-    def test_sharded_scan_equals_serial_scan(self, chip):
-        serial = make_scanner(chip).scan(chip)
-        sharded = make_scanner(chip, shards=3).scan(chip)
-        assert sharded.hotspots == serial.hotspots
-        assert sharded.manifest == serial.manifest
+    def test_sharded_scan_equals_serial_scan(
+        self, chip, tmp_path, monkeypatch
+    ):
+        """One, two or three tile workers: the same report, the same
+        tile_scanned sequence and the same persisted bytes."""
+        runs = {}
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(stream, "_WORKERS", workers)
+            bus = EventBus()
+            log = bus.subscribe(EventLog())
+            state = tmp_path / f"w{workers}"
+            report = make_scanner(chip, state, bus=bus).scan(chip)
+            report = report.as_dict()
+            report.pop("scan_seconds")
+            tiles = [
+                {k: v for k, v in e.payload.items() if k != "tile_seconds"}
+                for e in log.of_kind("tile_scanned")
+            ]
+            [started] = log.of_kind("scan_started")
+            assert started.payload["workers"] == workers
+            runs[workers] = (report, tiles, state_files(state))
+        assert runs[2] == runs[1]
+        assert runs[3] == runs[1]
+        assert [t["tile"] for t in runs[1][1]] == sorted(
+            runs[1][0]["manifest"], key=lambda k: (k[5:], k[:4])
+        )
+
+    def test_slow_early_tile_commits_in_order(self, chip, monkeypatch):
+        """Tile 0 is scored only after three later tiles were; the
+        events still come in lattice order and the report does not
+        change."""
+        monkeypatch.setattr(stream, "_WORKERS", 2)
+        three_scored = threading.Event()
+        lock = threading.Lock()
+        scored = []
+        # a worker encodes and scores its own tile, so a flag the encode
+        # of tile 0 sets on its thread marks the score of tile 0
+        first = threading.local()
+
+        def score(tensors):
+            if getattr(first, "tile", False):
+                first.tile = False
+                assert three_scored.wait(timeout=60.0)
+            else:
+                with lock:
+                    scored.append(len(tensors))
+                    if len(scored) == 3:
+                        three_scored.set()
+            return density_score(tensors)
+
+        bus = EventBus()
+        log = bus.subscribe(EventLog())
+        scanner = make_scanner(chip, bus=bus, tile_clips=1, score_fn=score)
+        hook_tile(scanner, chip, 0, lambda: setattr(first, "tile", True))
+        report = scanner.scan(chip)
+        assert [e.payload["tile"] for e in log.of_kind("tile_scanned")] == [
+            tile.key for tile in scanner.grid.tiles()
+        ]
+        serial = make_scanner(chip, tile_clips=1).scan(chip)
+        assert report.hotspots == serial.hotspots
+        assert report.manifest == serial.manifest
+
+    def test_one_tile_encodes_at_a_time(self, chip, monkeypatch):
+        monkeypatch.setattr(stream, "_WORKERS", 3)
+        scanner = make_scanner(chip, tile_clips=1)
+        lock = threading.Lock()
+        running = {"now": 0, "most": 0}
+        encode = scanner.plane.encode_batch
+
+        def counting(clips, keys=None):
+            with lock:
+                running["now"] += 1
+                running["most"] = max(running["most"], running["now"])
+            try:
+                return encode(clips, keys=keys)
+            finally:
+                with lock:
+                    running["now"] -= 1
+
+        scanner.plane.encode_batch = counting
+        scanner.scan(chip)
+        assert running["most"] == 1
+
+    def test_error_in_tile_is_raised_after_helpers_stop(
+        self, chip, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(stream, "_WORKERS", 3)
+
+        def fail():
+            raise RuntimeError("tile 5 failed")
+
+        before = len(threading.enumerate())
+        scanner = make_scanner(chip, tmp_path, tile_clips=1)
+        hook_tile(scanner, chip, 5, fail)
+        with pytest.raises(RuntimeError, match="tile 5 failed"):
+            scanner.scan(chip)
+        assert len(threading.enumerate()) == before
+        # the tiles before the failing one are persisted, none after
+        expected = sorted(tile.key for tile in scanner.grid.tiles()[:5])
+        assert TileVerdictStore(tmp_path / "tiles").keys() == expected
+        cursor = ScanCursor.load(
+            tmp_path / "cursor.json", scanner.grid.fingerprint()
+        )
+        assert sorted(cursor.done) == expected
+
+    def test_interrupt_on_caller_stops_the_scan(
+        self, chip, tmp_path, monkeypatch
+    ):
+        """An interrupt raised on the calling thread (here from a
+        progress handler) ends the scan once the helpers have stopped;
+        the committed tiles resume."""
+        monkeypatch.setattr(stream, "_WORKERS", 2)
+
+        def interrupt(event):
+            if event.payload["tiles_done"] == 2:
+                raise KeyboardInterrupt("ctrl-c")
+
+        bus = EventBus()
+        bus.subscribe(interrupt, kinds=("tile_scanned",))
+        before = len(threading.enumerate())
+        scanner = make_scanner(chip, tmp_path, bus=bus)
+        with pytest.raises(KeyboardInterrupt):
+            scanner.scan(chip)
+        assert len(threading.enumerate()) == before
+        committed = sorted(tile.key for tile in scanner.grid.tiles()[:2])
+        assert TileVerdictStore(tmp_path / "tiles").keys() == committed
+
+        resumed = make_scanner(chip, tmp_path).scan(chip)
+        assert resumed.replayed_tiles == 2
+        assert resumed.hotspots == make_scanner(chip).scan(chip).hotspots
 
     def test_second_scan_replays_everything(self, chip, tmp_path):
         first = make_scanner(chip, tmp_path).scan(chip)
@@ -170,6 +336,24 @@ class TestStreamScanner:
         assert second.replayed_tiles == second.n_tiles
         assert second.rescored_tiles == 0
         assert second.hotspots == first.hotspots  # bit-identical replay
+
+    def test_unchanged_rescan_saves_the_cursor_once(
+        self, chip, tmp_path, monkeypatch
+    ):
+        make_scanner(chip, tmp_path).scan(chip)
+        before = state_files(tmp_path)
+        saves = []
+        original = ScanCursor.save
+
+        def counting_save(cursor):
+            saves.append(dict(cursor.done))
+            return original(cursor)
+
+        monkeypatch.setattr(ScanCursor, "save", counting_save)
+        report = make_scanner(chip, tmp_path).scan(chip)
+        assert report.replayed_tiles == report.n_tiles
+        assert len(saves) == 1
+        assert state_files(tmp_path) == before
 
     def test_incremental_rescore_is_local(self, chip, tmp_path):
         make_scanner(chip, tmp_path).scan(chip)
@@ -194,26 +378,23 @@ class TestStreamScanner:
         assert report.rescored_tiles == report.n_tiles
 
     def test_kill_and_resume_mid_scan(self, chip, tmp_path):
-        calls = {"n": 0}
-
-        def dying_score(tensors):
-            calls["n"] += 1
-            if calls["n"] > 3:
-                raise KeyboardInterrupt("killed mid-scan")
-            return density_score(tensors)
-
         grid = TileGrid.for_layout(chip, CLIP, MARGIN, tile_clips=2)
         plane = BatchFeatureExtractor(FeatureExtractor(grid=96))
-        config = StreamConfig(
-            tile_clips=2, shards=2, state_dir=str(tmp_path)
-        )
-        dying = StreamScanner(grid, plane, dying_score, config)
+        config = StreamConfig(tile_clips=2, state_dir=str(tmp_path))
+        dying = StreamScanner(grid, plane, density_score, config)
+
+        def kill():
+            raise KeyboardInterrupt("killed mid-scan")
+
+        # killed in the third tile, on whichever thread works it
+        hook_tile(dying, chip, 2, kill)
         with pytest.raises(KeyboardInterrupt):
             dying.scan(chip)
-        # completed tiles persisted before the crash
+        # exactly the tiles committed before the crash persisted
         survived = TileVerdictStore(tmp_path / "tiles").keys()
-        assert 1 <= len(survived) < grid.n_tiles
+        assert survived == sorted(tile.key for tile in grid.tiles()[:2])
 
+        plane = BatchFeatureExtractor(FeatureExtractor(grid=96))
         resumed = StreamScanner(
             grid, plane, density_score, config
         ).scan(chip)
@@ -265,6 +446,32 @@ class TestStreamScanner:
         assert report.n_clips == labeler.query_count
         assert all(h["score"] == 1.0 for h in report.hotspots)
 
+    def test_labeler_sees_the_same_queries_at_any_width(
+        self, chip, monkeypatch
+    ):
+        from repro.litho.labeler import LithoLabeler
+        from repro.litho.simulator import LithoSimulator
+
+        grid = TileGrid.for_layout(chip, CLIP, MARGIN, tile_clips=2)
+        runs = []
+        for workers in (1, 2):
+            monkeypatch.setattr(stream, "_WORKERS", workers)
+            labeler = LithoLabeler(LithoSimulator.for_tech(chip.tech_nm))
+            queried = []
+            original = labeler.label_batch
+
+            def recording(clips, **kwargs):
+                queried.append([clip.index for clip in clips])
+                return original(clips, **kwargs)
+
+            labeler.label_batch = recording
+            report = StreamScanner(
+                grid, BatchFeatureExtractor(FeatureExtractor(grid=96)),
+                density_score, StreamConfig(tile_clips=2), labeler=labeler,
+            ).scan(chip)
+            runs.append((labeler.query_count, queried, report.hotspots))
+        assert runs[1] == runs[0]
+
 
 class TestStreamConfig:
     def test_validation(self):
@@ -274,3 +481,8 @@ class TestStreamConfig:
             StreamConfig(shards=0)
         with pytest.raises(ValueError):
             StreamConfig(threshold=1.5)
+
+    def test_shards_is_deprecated(self):
+        with pytest.warns(DeprecationWarning, match="shards"):
+            config = StreamConfig(shards=4)
+        assert config.shards == 4  # kept, but the scan ignores it

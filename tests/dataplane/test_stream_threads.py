@@ -1,13 +1,14 @@
-"""Multi-threaded stress tests of the work-stealing scheduler and the
-event bus, run under ``REPRO_CHECK=strict`` so the lock-discipline
-sanitizer is live throughout."""
+"""Multi-threaded stress tests of the streaming scan's ordered tile
+pool and of the event bus, run under ``REPRO_CHECK=strict`` so the
+lock-discipline sanitizer is live throughout."""
 
+import sys
 import threading
-import time
 
+import numpy as np
 import pytest
 
-from repro.dataplane.stream import ShardScheduler
+from repro.dataplane.stream import _run_ordered
 from repro.engine.events import EventBus
 
 
@@ -16,59 +17,182 @@ def _strict(monkeypatch):
     monkeypatch.setenv("REPRO_CHECK", "strict")
 
 
-class TestShardSchedulerUnderLoad:
-    def test_slow_shards_get_stolen_from(self):
-        """Deal slow items onto one shard; the other workers must steal
-        them rather than idle, and no item is lost or duplicated."""
-        scheduler = ShardScheduler(shards=4)
-        items = list(range(40))
-        done = []
+def _pool_threads():
+    return [
+        t for t in threading.enumerate() if t.name.startswith("scan-tile")
+    ]
+
+
+def _gil_free_work(item):
+    """A numpy reduction that releases the GIL, so workers overlap."""
+    data = np.random.default_rng(item).normal(size=4096)
+    return item, float(np.sort(data)[item % 4096])
+
+
+@pytest.fixture
+def _short_switch_interval():
+    """Switch threads about every 10 us, so races get their chance."""
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(previous)
+
+
+class TestTilePoolUnderLoad:
+    @pytest.mark.parametrize("workers", [2, 3, 4, 8])
+    def test_every_item_committed_once_in_order(
+        self, workers, _short_switch_interval
+    ):
+        before = len(threading.enumerate())
+        lock = threading.Lock()
+        committed = []
+        taken = []
 
         def work(item):
-            # shard 0 owns items 0, 4, 8, ... — make exactly those slow
-            if item % 4 == 0:
-                time.sleep(0.01)
-            return item * 2
+            with lock:
+                taken.append((item, len(committed)))
+            return _gil_free_work(item)
 
-        def on_result(item, result):
-            done.append((item, result))
+        def commit(item, result):
+            assert threading.current_thread() is threading.main_thread()
+            committed.append(result)
 
-        stats = scheduler.run(items, work, on_result)
-        assert sorted(i for i, _ in done) == items
-        assert all(r == i * 2 for i, r in done)
-        assert stats["steals"] > 0
-        assert sum(stats["per_shard"]) == len(items)
+        items = list(range(150))
+        _run_ordered(items, work, commit, workers)
+        assert committed == [_gil_free_work(i) for i in items]
+        assert sorted(i for i, _ in taken) == items
+        # nothing is taken 2 * workers items past the oldest uncommitted
+        assert all(i - done < 2 * workers for i, done in taken)
+        assert len(threading.enumerate()) == before
+
+    def test_slow_items_do_not_stall_the_others(self):
+        """Item 0 waits until every other item of its window is done:
+        the other workers must run them meanwhile, and the commits
+        still come in item order."""
+        workers = 4
+        rest_done = threading.Event()
+        lock = threading.Lock()
+        finished = []
+
+        def work(item):
+            if item == 0:
+                assert rest_done.wait(timeout=60.0)
+            result = _gil_free_work(item)
+            with lock:
+                finished.append(item)
+                if len(finished) == 2 * workers - 1:
+                    rest_done.set()
+            return result
+
+        committed = []
+        _run_ordered(
+            list(range(40)), work,
+            lambda item, result: committed.append(item), workers,
+        )
+        assert committed == list(range(40))
+        assert sorted(finished[: 2 * workers - 1]) == list(
+            range(1, 2 * workers)
+        )
 
     def test_worker_exception_propagates(self):
-        scheduler = ShardScheduler(shards=3)
+        """The first error in item order is raised once every helper
+        has stopped; the items before it are committed, none after."""
+        committed = []
 
         def work(item):
-            if item == 7:
-                raise RuntimeError("shard blew up")
-            return item
+            if item in (7, 11):
+                raise RuntimeError(f"item {item} blew up")
+            return _gil_free_work(item)
 
-        with pytest.raises(RuntimeError, match="shard blew up"):
-            scheduler.run(range(20), work)
+        for _ in range(20):
+            committed.clear()
+            with pytest.raises(RuntimeError, match="item 7 blew up"):
+                _run_ordered(
+                    list(range(40)), work,
+                    lambda item, result: committed.append(item), 3,
+                )
+            assert committed == list(range(7))
+            assert _pool_threads() == []
 
-    def test_on_result_may_emit_events(self):
-        """The scan path emits bus events from inside on_result while
-        holding the scheduler lock — the sanitizer must see that nested
-        order (shard-scheduler -> event-bus) as consistent."""
+    def test_interrupt_in_commit_joins_helpers(self):
+        def commit(item, result):
+            if item == 5:
+                raise KeyboardInterrupt("ctrl-c")
+
+        for _ in range(20):
+            with pytest.raises(KeyboardInterrupt):
+                _run_ordered(list(range(40)), _gil_free_work, commit, 4)
+            assert _pool_threads() == []
+
+    def test_commit_may_emit_events(self):
+        """The scan emits bus events from its commits; the sanitizer
+        must see no lock held around them, and they arrive in item
+        order."""
         bus = EventBus()
         seen = []
         bus.subscribe(
             lambda e: seen.append(e.payload["item"]), kinds=("tile_scanned",)
         )
-        scheduler = ShardScheduler(shards=4)
-
-        scheduler.run(
-            range(24),
-            lambda item: item,
-            on_result=lambda item, result: bus.emit(
-                "tile_scanned", item=item
-            ),
+        _run_ordered(
+            list(range(24)),
+            _gil_free_work,
+            lambda item, result: bus.emit("tile_scanned", item=item),
+            workers=4,
         )
-        assert sorted(seen) == list(range(24))
+        assert seen == list(range(24))
+
+
+class TestModelScoreFnAcrossThreads:
+    def test_two_threads_score_the_bytes_of_serial_calls(self):
+        """A scan calls ``score_fn`` from two tile workers at once; each
+        call must give the bytes it gives alone."""
+        from repro.calibration.temperature import TemperatureScaler
+        from repro.dataplane.stream import model_score_fn
+        from repro.model.classifier import HotspotClassifier
+
+        rng = np.random.default_rng(3)
+        x = rng.normal(size=(48, 8, 12, 12))
+        y = np.repeat([0, 1], 24)
+        x[24:, 0] += 1.5
+        clf = HotspotClassifier(
+            input_shape=(8, 12, 12), arch="cnn", epochs=2, seed=0
+        )
+        clf.fit(x, y)
+        temperature = TemperatureScaler().fit(clf.predict_logits(x), y)
+        score = model_score_fn(clf, temperature)
+        # tile-sized batches of different lengths, as a scan sends them
+        batches = [
+            rng.normal(size=(n, 8, 12, 12)) for n in (4, 1, 16, 3, 9, 4)
+        ]
+        serial = [score(batch).tobytes() for batch in batches]
+
+        # the second thread runs the batches backwards, so batches of
+        # different sizes overlap
+        orders = [batches, batches[::-1]]
+        barrier = threading.Barrier(2)
+        outputs = [[], []]
+        errors = []
+
+        def run(slot):
+            try:
+                barrier.wait()
+                for _ in range(5):
+                    for batch in orders[slot]:
+                        outputs[slot].append(score(batch).tobytes())
+            except BaseException as exc:  # noqa: BLE001 - collected
+                errors.append(exc)
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in (0, 1)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120.0)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert outputs[0] == serial * 5
+        assert outputs[1] == serial[::-1] * 5
 
 
 class TestEventBusCrossThread:

@@ -77,8 +77,8 @@ PRINTED = {
     ),
     "scan_started": (
         dict(layout="chip", n_tiles=4, n_windows=64, tile_clips=16,
-             shards=2, incremental=True),
-        "scan chip: 4 tiles (64 windows, 2 shards, incremental)",
+             workers=2, incremental=True),
+        "scan chip: 4 tiles (64 windows, 2 workers, incremental)",
     ),
     "tile_scanned": (
         dict(tile="0000_0001", n_clips=16, n_hotspots=2, replayed=True,
@@ -88,7 +88,7 @@ PRINTED = {
     "scan_completed": (
         dict(n_tiles=4, n_clips=64, n_hotspots=5, replayed_tiles=1,
              rescored_tiles=3, replayed_clips=16, rescored_clips=48,
-             steals=0, scan_seconds=2.34),
+             scan_seconds=2.34),
         "scan done: 5 hotspots in 64 clips over 4 tiles "
         "(1 replayed, 3 scored, 2.3s)",
     ),
@@ -163,7 +163,7 @@ PRINTER_CASES = [
     pytest.param(
         "scan_started",
         {**PRINTED["scan_started"][0], "incremental": False},
-        "scan chip: 4 tiles (64 windows, 2 shards)",
+        "scan chip: 4 tiles (64 windows, 2 workers)",
         id="scan_started-full",
     ),
     pytest.param(

@@ -90,6 +90,16 @@ class TestDigests:
         tile = grid.tile(0, 0)
         assert grid.tile_digest(chip, tile) == grid.tile_digest(chip, tile)
 
+    def test_given_keys_digest_as_computed_ones(self, chip, grid):
+        for tile in grid.tiles():
+            clips = list(grid.iter_clips(chip, tile))
+            keys = [clip.content_key() for clip in clips]
+            assert TileGrid.digest_clips(clips, keys) == grid.tile_digest(
+                chip, tile
+            )
+        with pytest.raises(ValueError, match="content keys"):
+            TileGrid.digest_clips(clips, keys + ["extra"])
+
     def test_empty_tile_digests_to_sentinel(self):
         layout = Layout([], die=Rect(0, 0, 3000, 3000), name="blank")
         grid = TileGrid.for_layout(layout, 1200, 300, tile_clips=2)
