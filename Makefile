@@ -18,7 +18,7 @@ test-threads:
 		tests/dataplane/test_stream_threads.py \
 		tests/litho/test_faults.py \
 		tests/nn/test_arena_threads.py \
-		tests/nn/test_optim.py::TestSplit \
+		tests/nn/test_pool.py \
 		tests/nn/test_training_reference.py::test_adam_matches_out_of_place_update \
 		-x -q
 	REPRO_BENCH_QUICK=1 python -m pytest benchmarks/bench_concurrency.py -x -q

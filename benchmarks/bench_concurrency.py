@@ -1,11 +1,13 @@
 """Extension — lock-discipline sanitizer overhead on the data-plane path.
 
 The concurrency layer (``repro.analysis.concurrency``) instruments the
-feature cache, the event bus and the shard scheduler with tracked locks,
-``guarded_by`` descriptors and interleaving trace points.  Like the
-array contracts, all of it is meant to be free when ``REPRO_CHECK=off``.
-This bench quantifies "free" on the path the instrumentation actually
-sits on (chunked batch extraction through the locked feature cache):
+feature cache, the event bus and the ordered pool that Adam's split
+step and the streaming scan share (``repro.nn.runtime.run_ordered``)
+with tracked locks, ``guarded_by`` descriptors and interleaving trace
+points.  Like the array contracts, all of it is meant to be free when
+``REPRO_CHECK=off``.  This bench quantifies "free" on the path the
+instrumentation actually sits on (chunked batch extraction through the
+locked feature cache):
 
 * **per-primitive cost** — off-mode tracked-lock cycle vs a bare
   ``threading.RLock``, off-mode guarded attribute read vs a plain

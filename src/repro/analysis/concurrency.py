@@ -42,6 +42,7 @@ from __future__ import annotations
 import itertools
 import threading
 import warnings
+import weakref
 from typing import Any, Iterator
 
 from . import interleave
@@ -90,7 +91,8 @@ _held = _HeldStack()
 _graph_mutex = threading.Lock()
 #: lock uid -> uids acquired while it was held
 _edges: dict[int, set[int]] = {}
-#: lock uid -> display name (for inversion messages)
+#: live lock uid -> display name (for inversion messages); a lock's
+#: entry goes when the lock is collected
 _uid_names: dict[int, str] = {}
 _uids = itertools.count(1)
 
@@ -146,7 +148,8 @@ def held_locks() -> tuple["_TrackedBase", ...]:
 
 def lock_order_edges() -> frozenset[tuple[str, str]]:
     """Snapshot of the acquisition-order graph as ``(outer, inner)``
-    lock-name pairs (test/debugging introspection)."""
+    lock-name pairs (test/debugging introspection); a lock collected
+    since shows as ``lock-<uid>``."""
     with _graph_mutex:
         return frozenset(
             (_uid_names.get(src, f"lock-{src}"),
@@ -174,8 +177,10 @@ class _TrackedBase:
         self._inner = self._make_inner()
         self._uid = next(_uids)
         self.name = name if name is not None else f"lock-{self._uid}"
-        with _graph_mutex:
-            _uid_names[self._uid] = self.name
+        # single dict operations, without _graph_mutex: the collector
+        # may run the finalizer on a thread that holds it
+        _uid_names[self._uid] = self.name
+        weakref.finalize(self, _uid_names.pop, self._uid, None)
         #: ident of the owning thread (None when free); written only by
         #: the thread that holds the inner lock, read opportunistically
         self._owner: int | None = None

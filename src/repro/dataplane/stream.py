@@ -11,17 +11,18 @@ plane this module replaces.  A :class:`StreamScanner` walks a
   bucket index, encoded through the cached
   :class:`~repro.dataplane.extract.BatchFeatureExtractor`, scored, and
   released, so memory holds a few tiles, never the chip.
-* **ordered tile pool** — the calling thread and one helper per other
-  CPU the process may use (:data:`~repro.nn.runtime.CPU_WORKERS`) each
-  take the next tile in lattice order and cut, digest, replay-check,
-  encode and score it whole.  One tile encodes at a time while the
-  others cut or score, whose gemm releases the GIL.  The calling thread
-  *commits* tiles strictly in lattice order (litho labeling, verdict
-  store, cursor, ``tile_scanned``), and every ``encode_batch`` and
-  ``score_fn`` call gets one tile's clips, so results are byte-equal at
-  any worker count.  At most ``2 * workers`` tiles are taken past the
-  oldest uncommitted one; a finished tile waiting for its commit holds
-  only its indices, scores and verdicts.
+* **tiles on the one pool** — the calling thread and the helpers of
+  the process's ordered pool (:func:`~repro.nn.runtime.run_ordered`,
+  one thread per CPU) each take the next tile in lattice order and
+  cut, digest, replay-check, encode and score it whole.  One tile
+  encodes at a time while the others cut or score, whose gemm releases
+  the GIL.  The calling thread *commits* tiles strictly in lattice
+  order (litho labeling, verdict store, cursor, ``tile_scanned``), and
+  every ``encode_batch`` and ``score_fn`` call gets one tile's clips,
+  so results are byte-equal at any worker count, and when a busy pool
+  leaves every tile to the calling thread.  At most ``2 * workers``
+  tiles are taken past the oldest uncommitted one; a finished tile
+  waiting for its commit holds only its indices, scores and verdicts.
 * **resume + incremental re-detection** — with a ``state_dir``, every
   committed tile persists its verdicts (:class:`TileVerdictStore`) and
   progress (:class:`~repro.engine.checkpoint.ScanCursor`).  Both replay
@@ -42,8 +43,6 @@ order.
 from __future__ import annotations
 
 import json
-import queue
-import threading
 import time
 import warnings
 from dataclasses import asdict, dataclass, field
@@ -58,7 +57,7 @@ from ..engine.events import EventBus
 from ..layout.clip import content_keys
 from ..layout.layout import Layout
 from ..layout.tiles import Tile, TileGrid
-from ..nn.runtime import CPU_WORKERS
+from ..nn import runtime
 from .config import DataPlaneConfig
 from .extract import BatchFeatureExtractor
 
@@ -74,10 +73,6 @@ __all__ = [
 #: ``score_fn`` contract: ``(N, C, H, W)`` float64 tensors in, ``(N,)``
 #: hotspot probabilities out
 ScoreFn = Callable[[np.ndarray], np.ndarray]
-
-#: tile workers of a scan: the calling thread plus one helper per other
-#: CPU this process may use
-_WORKERS = CPU_WORKERS
 
 
 @dataclass(frozen=True)
@@ -128,113 +123,6 @@ class StreamConfig:
             raise ValueError(
                 f"threshold must be in (0, 1), got {self.threshold}"
             )
-
-
-# ----------------------------------------------------------------------
-# ordered tile pool
-# ----------------------------------------------------------------------
-def _attempt(work: Callable[[Any], Any], item: Any) -> Any:
-    """``work(item)``, or the exception it raised (re-raised when the
-    item's turn to commit comes)."""
-    try:
-        return work(item)
-    except BaseException as exc:  # noqa: BLE001 - re-raised in item order
-        return exc
-
-
-def _run_ordered(
-    items: Sequence[Any],
-    work: Callable[[Any], Any],
-    commit: Callable[[Any, Any], None],
-    workers: int,
-) -> None:
-    """Run ``work(item)`` for every item and ``commit(item, result)`` in
-    item order.
-
-    The calling thread and ``workers - 1`` daemon helpers each take the
-    next item; at most ``2 * workers`` items are taken past the oldest
-    uncommitted one.  ``commit`` runs on the calling thread, outside the
-    pool's lock.  The first exception in item order, from ``work`` or
-    ``commit``, or an interrupt of the calling thread, is raised once
-    every helper has stopped: the items before it are committed, none
-    after it.  One worker, or one item, runs inline.
-    """
-    workers = min(workers, len(items))
-    if workers <= 1:
-        for item in items:
-            commit(item, work(item))
-        return
-
-    lock = TrackedLock("tile-pool")
-    #: one permit per item taken and not yet committed
-    slots = threading.Semaphore(2 * workers)
-    #: ``(index, result or exception)`` of the items helpers finished
-    done: queue.SimpleQueue = queue.SimpleQueue()
-    taken = 0
-    stopped = False
-
-    def take(block: bool = True) -> int | None:
-        """The next item, once the window has room for it; ``None``
-        when none is left, or when the window is full and ``block`` is
-        false."""
-        nonlocal taken
-        if not slots.acquire(blocking=block):
-            return None
-        with lock:
-            index = None if stopped or taken == len(items) else taken
-            if index is not None:
-                taken += 1
-        if index is None:
-            slots.release()
-        return index
-
-    def stop() -> None:
-        nonlocal stopped
-        with lock:
-            stopped = True
-
-    def helper() -> None:
-        index = take()
-        while index is not None:
-            result = _attempt(work, items[index])
-            if isinstance(result, BaseException):
-                stop()
-            done.put((index, result))
-            index = take()
-
-    finished: dict[int, Any] = {}
-    helpers: list[threading.Thread] = []
-    try:
-        for number in range(1, workers):
-            thread = threading.Thread(
-                target=helper, name=f"scan-tile-{number}", daemon=True
-            )
-            thread.start()
-            helpers.append(thread)
-        for index, item in enumerate(items):
-            while index not in finished:
-                # work the next item while no helper result waits;
-                # otherwise, or when the window is full, collect one
-                mine = take(block=False) if done.empty() else None
-                if mine is None:
-                    got, result = done.get()
-                    finished[got] = result
-                    continue
-                finished[mine] = _attempt(work, items[mine])
-                if isinstance(finished[mine], BaseException):
-                    stop()
-            result = finished.pop(index)
-            if isinstance(result, BaseException):
-                raise result
-            commit(item, result)
-            slots.release()
-    finally:
-        # wake the helpers waiting for room in the window
-        stop()
-        for _ in helpers:
-            slots.release()
-        for thread in helpers:
-            thread.join()
 
 
 # ----------------------------------------------------------------------
@@ -357,9 +245,10 @@ class _TileResult:
 class StreamScanner:
     """Streaming hotspot scan of full-chip layouts.
 
-    A scan works tiles on the calling thread and one helper per other
-    CPU, so ``score_fn`` runs on up to that many threads at once and the
-    ``plane`` is called from each of them, one encode at a time.
+    A scan works tiles on the calling thread and the pool's helpers,
+    one thread per CPU, so ``score_fn`` runs on up to that many threads
+    at once and the ``plane`` is called from each of them, one encode at
+    a time.
     :func:`model_score_fn` is safe to call so: the workspace arena is
     per thread, the weights are only read, and inference only clears
     layer caches.  Litho labeling, persistence and events run on the
@@ -508,7 +397,7 @@ class StreamScanner:
                 cursor.done = {}
 
         tiles = grid.tiles()
-        workers = max(1, min(_WORKERS, len(tiles)))
+        workers = max(1, min(runtime.CPU_WORKERS, len(tiles)))
         if self.bus is not None:
             self.bus.emit(
                 "scan_started",
@@ -551,13 +440,13 @@ class StreamScanner:
         # are a tile's largest, so the memory peak stays one encode at
         # any worker count, and two encodes mostly contend for the GIL
         encode_lock = TrackedLock("scan-encode")
-        _run_ordered(
+        runtime.run_ordered(
             tiles,
             lambda tile: self._work_tile(
                 layout, tile, cursor, store, encode_lock
             ),
-            commit,
             workers,
+            commit,
         )
         if cursor is not None:
             cursor.save()

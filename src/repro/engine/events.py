@@ -71,8 +71,10 @@ Streaming-scan events (see :mod:`repro.dataplane.stream`):
 
 ``scan_started``
     ``layout, n_tiles, n_windows, tile_clips, workers, incremental`` —
-    once at the top of a tiled full-chip scan; ``workers`` threads (the
-    caller and its helpers) work its tiles.
+    once at the top of a tiled full-chip scan; ``workers`` is the width
+    the scan asked of the ordered pool (the caller and the pool's
+    helpers), though a scan that finds the pool busy works its tiles on
+    the calling thread alone.
 ``tile_scanned``
     ``tile, n_clips, n_hotspots, replayed, tiles_done, n_tiles,
     tile_seconds`` — one per committed tile, in lattice order

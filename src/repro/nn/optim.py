@@ -7,11 +7,12 @@ see the latest weights without re-wiring references.
 :class:`Adam` runs its step as one kernel over 32,768-element blocks of
 each flattened slot, so a block's parameter, gradient, moments and work
 arrays stay in cache.  A slot of at least four blocks is cut into
-block-aligned ranges, one per CPU the process may use: the calling
-thread takes the first range and long-lived daemon helper threads the
-others.  Every element sees the same float64 operations in the same
-order whatever the block size or the split, so the results are
-bit-identical to one pass over the whole slot.
+block-aligned ranges, one per CPU the process may use, and worked on
+the process's one pool (:func:`~repro.nn.runtime.run_ordered`): the
+calling thread takes the first range, and it and the pool's helper
+threads each take the next.  Every element sees the same float64
+operations in the same order whatever the block size or the split, so
+the results are bit-identical to one pass over the whole slot.
 
 Slot state is serializable: :meth:`Adam.get_state` /
 :meth:`Adam.set_state` round-trip the first/second moments and the
@@ -25,15 +26,12 @@ correction — training would continue, but not on the same trajectory.
 from __future__ import annotations
 
 import math
-import os
-import queue
-import threading
 from functools import partial
 
 import numpy as np
 
-from ..analysis.concurrency import TrackedLock
-from .runtime import CPU_WORKERS, WorkspaceArena
+from . import runtime
+from .runtime import WorkspaceArena
 
 __all__ = [
     "Optimizer",
@@ -106,8 +104,6 @@ def unflatten_state(flat: dict) -> dict:
 _BLOCK = 32768
 #: a slot of at least this many blocks is split across the CPUs
 _SPLIT_BLOCKS = 4
-#: ranges a split slot is cut into: one per CPU this process may use
-_WORKERS = CPU_WORKERS
 
 #: block scratch; thread-local, so every helper has its own buffers
 _ARENA = WorkspaceArena()
@@ -154,99 +150,19 @@ def _adam_range(param, grad, m, v, decay, coef, lo, hi) -> None:
         np.subtract(p, a, out=p)
 
 
-def _run_range(fn, lo: int, hi: int, done: queue.SimpleQueue):
-    try:
-        fn(lo, hi)
-    except BaseException as exc:  # noqa: BLE001 - re-raised by the caller
-        return done, exc
-    return done, None
-
-
-def _serve(inbox: queue.SimpleQueue) -> None:
-    """A helper thread's loop: run one range, report, wait for the next.
-
-    It keeps no reference to a finished range's arrays.  Holding one
-    until the next step would keep that step's gradient alive across
-    the next backward pass, which put about 10 MB on ``al_mlp``'s peak
-    RSS.
-    """
-    while True:
-        done, error = _run_range(*inbox.get())
-        done.put(error)
-
-
-class _Helpers:
-    """Long-lived daemon threads that run the ranges of a split slot.
-
-    One set serves every optimizer in the process, because the CPUs
-    they share are a process resource.  It grows to the number of
-    helpers a split asks for and is used by one caller at a time; a
-    caller that finds it busy runs every range itself, which gives the
-    same bytes.
-    """
-
-    def __init__(self) -> None:
-        self._lock = TrackedLock("adam-helpers")
-        #: one inbox per helper thread; only touched under _lock
-        self._inboxes: list[queue.SimpleQueue] = []
-
-    def run(self, fn, ranges: list[tuple[int, int]]) -> None:
-        """Run ``fn(lo, hi)`` over every range and wait for all of them.
-
-        The calling thread takes the first range.  It waits for every
-        helper even when its own range raises, and then raises the
-        first error.
-        """
-        if not self._lock.acquire(blocking=False):
-            for lo, hi in ranges:
-                fn(lo, hi)
-            return
-        try:
-            self._run_locked(fn, ranges)
-        finally:
-            self._lock.release()
-
-    def _run_locked(self, fn, ranges) -> None:  #: requires: _lock
-        while len(self._inboxes) < len(ranges) - 1:
-            inbox: queue.SimpleQueue = queue.SimpleQueue()
-            threading.Thread(
-                target=_serve, args=(inbox,),
-                name=f"adam-helper-{len(self._inboxes)}", daemon=True,
-            ).start()
-            self._inboxes.append(inbox)
-        # a queue per run: if an interrupt ends this wait early, the
-        # late results land here and not in a later run's wait
-        done: queue.SimpleQueue = queue.SimpleQueue()
-        for inbox, (lo, hi) in zip(self._inboxes, ranges[1:]):
-            inbox.put((fn, lo, hi, done))
-        try:
-            fn(*ranges[0])
-        finally:
-            errors = [done.get() for _ in ranges[1:]]
-        for error in errors:
-            if error is not None:
-                raise error
-
-
-_HELPERS = _Helpers()
-if hasattr(os, "register_at_fork"):
-    # a forked child inherits the helpers' inboxes but not their threads;
-    # a lock held across the fork only makes the child run inline
-    os.register_at_fork(after_in_child=_HELPERS._inboxes.clear)
-
-
 def _run_split(fn, size: int) -> None:
     """Run ``fn(lo, hi)`` over ``[0, size)``: inline for a slot of fewer
-    than ``_SPLIT_BLOCKS`` blocks or a single CPU, otherwise as one
-    block-aligned range per worker."""
+    than ``_SPLIT_BLOCKS`` blocks, otherwise as one block-aligned range
+    per CPU, each an item of the pool."""
     blocks = -(-size // _BLOCK)
-    workers = min(_WORKERS, blocks)
-    if blocks < _SPLIT_BLOCKS or workers < 2:
+    if blocks < _SPLIT_BLOCKS:
         fn(0, size)
         return
+    workers = min(runtime.CPU_WORKERS, blocks)
     bounds = [min(blocks * i // workers * _BLOCK, size)
               for i in range(workers + 1)]
-    _HELPERS.run(fn, list(zip(bounds, bounds[1:])))
+    runtime.run_ordered(list(zip(bounds, bounds[1:])), lambda r: fn(*r),
+                        workers)
 
 
 def _check_slot(key, param, grad, m, v) -> None:

@@ -17,8 +17,10 @@ this module:
 * :class:`ComputeRuntime` bundles one policy with one arena; layers and
   networks resolve the runtime per call (explicit argument → owning
   network → process default).
-* :data:`CPU_WORKERS` is the number of CPUs this process may use: the
-  width of Adam's split step and of the streaming scan's tile pool.
+* :func:`run_ordered` is the process's one pool of long-lived helper
+  threads.  Adam's split step hands it a slot's ranges and the
+  streaming scan its tiles; :data:`CPU_WORKERS`, the number of CPUs
+  this process may use, is the width both ask for.
 
 This is the single sanctioned home of float32 in ``repro.nn`` /
 ``repro.features`` — reprolint rule R002 allowlists exactly this file, so
@@ -27,14 +29,18 @@ a stray downcast anywhere else in the kernel packages still fails lint.
 
 from __future__ import annotations
 
+import itertools
 import os
+import queue
 import threading
 from contextlib import contextmanager
-from typing import Iterator
+from typing import Any, Callable, Iterator, Sequence
 
 import numpy as np
 
+from ..analysis.concurrency import TrackedLock
 from ..analysis.interleave import trace_point
+from ..analysis.modes import check_mode, set_check_mode
 
 __all__ = [
     "CPU_WORKERS",
@@ -45,17 +51,11 @@ __all__ = [
     "get_runtime",
     "set_runtime",
     "using_runtime",
+    "run_ordered",
 ]
 
 #: supported precision modes: bit-exact float64 vs float32 fast compute
 PRECISION_MODES = ("exact", "fast")
-
-#: CPUs this process may use (its affinity mask where the OS has one)
-CPU_WORKERS = (
-    len(os.sched_getaffinity(0))
-    if hasattr(os, "sched_getaffinity")
-    else os.cpu_count() or 1
-)
 
 
 class PrecisionPolicy:
@@ -226,3 +226,188 @@ def using_runtime(runtime: ComputeRuntime) -> Iterator[ComputeRuntime]:
         yield runtime
     finally:
         set_runtime(previous)
+
+
+# ----------------------------------------------------------------------
+# the ordered pool
+# ----------------------------------------------------------------------
+#: CPUs this process may use (its affinity mask where the OS has one);
+#: callers read it at call time, so a test sets every width here
+CPU_WORKERS = (
+    len(os.sched_getaffinity(0))
+    if hasattr(os, "sched_getaffinity")
+    else os.cpu_count() or 1
+)
+
+#: ``run`` is true on a helper thread, and on a caller during its run
+_inside = threading.local()
+
+
+class _Run:
+    """What one run shares with its helpers."""
+
+    def __init__(self, items: Sequence[Any], work: Callable[[Any], Any],
+                 workers: int) -> None:
+        self.items = items
+        self.work = work
+        #: the caller's ``REPRO_CHECK`` mode, which its helpers adopt
+        self.mode = check_mode()
+        #: one token per item that may still be taken: ``2 * workers``
+        #: less the items taken and not yet committed
+        self.window: queue.SimpleQueue = queue.SimpleQueue()
+        for _ in range(2 * workers):
+            self.window.put(None)
+        self.next = itertools.count()
+        #: ``(index, result or exception)`` of each item a helper
+        #: worked, then ``None`` from each helper once it is idle
+        self.done: queue.SimpleQueue = queue.SimpleQueue()
+        self.stopped = False
+
+    def take(self, block: bool = True) -> int | None:
+        """The next item, once the window has room for it; ``None``
+        when none is left, the run has stopped, or the window is full
+        and ``block`` is false.  Every item taken is worked."""
+        try:
+            self.window.get(block)
+        except queue.Empty:
+            return None
+        if not self.stopped:
+            index = next(self.next)
+            if index < len(self.items):
+                return index
+        self.window.put(None)
+        return None
+
+    def attempt(self, index: int) -> Any:
+        """``work(item)``, or the exception it raised, which stops the
+        run and is re-raised when the item's turn to commit comes."""
+        try:
+            return self.work(self.items[index])
+        except BaseException as exc:  # noqa: BLE001 - raised in item order
+            self.stopped = True
+            return exc
+
+
+def _help(run: _Run) -> queue.SimpleQueue:
+    """Work items of ``run`` until none is left, checked in its caller's
+    mode; returns its queue."""
+    set_check_mode(run.mode)
+    index = run.take()
+    while index is not None:
+        run.done.put((index, run.attempt(index)))
+        index = run.take()
+    return run.done
+
+
+def _serve(inbox: queue.SimpleQueue) -> None:
+    """A helper thread's loop: work a run, report idle, wait for the
+    next.
+
+    It reports idle only once it holds nothing of the run.  Holding a
+    finished Adam step until the next one would keep that step's
+    gradient alive across the next backward pass, which put about
+    10 MB on ``al_mlp``'s peak RSS.
+    """
+    _inside.run = True
+    while True:
+        _help(inbox.get()).put(None)
+
+
+#: held by the caller of the run in progress; one pool serves the
+#: process, because the CPUs its helpers share are a process resource
+_POOL_LOCK = TrackedLock("ordered-pool")
+#: one inbox per helper thread; only touched under _POOL_LOCK
+_INBOXES: list[queue.SimpleQueue] = []
+if hasattr(os, "register_at_fork"):
+    # a forked child inherits the helpers' inboxes but not their threads;
+    # a lock held across the fork only makes the child run inline
+    os.register_at_fork(after_in_child=_INBOXES.clear)
+
+
+def run_ordered(
+    items: Sequence[Any],
+    work: Callable[[Any], Any],
+    workers: int,
+    commit: Callable[[Any, Any], None] | None = None,
+) -> None:
+    """Run ``work(item)`` for every item and ``commit(item, result)`` in
+    item order, on the process's one pool of long-lived daemon helpers.
+
+    The calling thread and ``workers - 1`` helpers each take the next
+    item; the caller takes the first.  ``commit`` runs on the calling
+    thread, and at most ``2 * workers`` items are taken past the oldest
+    uncommitted one.  The first exception in item order, from ``work``
+    or ``commit``, or an interrupt of the calling thread, is raised once
+    every helper of the run is idle again: the items before it are
+    committed, none after it.
+
+    The calling thread works every item itself, with the same results,
+    when there is one worker or one item, when it is already inside a
+    run (a helper, or a caller in its ``work`` or ``commit``), or when
+    another caller holds the pool.  The first two are decided before the
+    pool's lock is touched, so a nested run never re-acquires it.
+    """
+    workers = min(workers, len(items))
+    if (
+        workers < 2
+        or getattr(_inside, "run", False)
+        or not _POOL_LOCK.acquire(blocking=False)
+    ):
+        for item in items:
+            result = work(item)
+            if commit is not None:
+                commit(item, result)
+        return
+    try:
+        _inside.run = True
+        _run_locked(items, work, workers, commit)
+    finally:
+        _inside.run = False
+        _POOL_LOCK.release()
+
+
+def _run_locked(items, work, workers, commit) -> None:
+    """:func:`run_ordered` on the helpers, by the holder of the lock."""
+    helpers = workers - 1
+    while len(_INBOXES) < helpers:
+        inbox: queue.SimpleQueue = queue.SimpleQueue()
+        threading.Thread(
+            target=_serve, args=(inbox,),
+            name=f"pool-helper-{len(_INBOXES)}", daemon=True,
+        ).start()
+        _INBOXES.append(inbox)
+    run = _Run(items, work, workers)
+    mine = run.take(block=False)  # before any helper sees the run
+    for inbox in _INBOXES[:helpers]:
+        inbox.put(run)
+    finished: dict[int, Any] = {}
+    idle = 0
+    try:
+        for index, item in enumerate(items):
+            while index not in finished:
+                # work the next item while no helper result waits;
+                # otherwise, or when the window is full, collect one
+                if mine is None and run.done.empty():
+                    mine = run.take(block=False)
+                if mine is not None:
+                    finished[mine] = run.attempt(mine)
+                    mine = None
+                    continue
+                message = run.done.get()
+                if message is None:
+                    idle += 1
+                else:
+                    finished[message[0]] = message[1]
+            result = finished.pop(index)
+            if isinstance(result, BaseException):
+                raise result
+            if commit is not None:
+                commit(item, result)
+            run.window.put(None)
+    finally:
+        run.stopped = True
+        for _ in range(helpers):
+            run.window.put(None)  # wake helpers waiting for room
+        while idle < helpers:
+            if run.done.get() is None:
+                idle += 1

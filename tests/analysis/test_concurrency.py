@@ -1,11 +1,13 @@
 """Unit tests of the dynamic lock-discipline sanitizer
 (:mod:`repro.analysis.concurrency`)."""
 
+import gc
 import threading
 import warnings
 
 import pytest
 
+from repro.analysis import concurrency
 from repro.analysis.concurrency import (
     LockDisciplineError,
     LockDisciplineWarning,
@@ -176,6 +178,42 @@ class TestLockOrderGraph:
                     pass
 
         assert run_in_thread(now_legal) is None
+
+
+class TestLockNames:
+    def test_collected_locks_leave_the_registry(self):
+        gc.collect()  # locks earlier tests left in reference cycles
+        before = len(concurrency._uid_names)
+        for i in range(1000):
+            lock = (TrackedLock if i % 2 else TrackedRLock)(f"gone-{i}")
+            with lock:
+                pass
+        del lock
+        # a lock in a reference cycle goes with the cycle
+        cycle = {"lock": TrackedLock("in-a-cycle")}
+        cycle["self"] = cycle
+        del cycle
+        gc.collect()
+        assert len(concurrency._uid_names) == before
+
+    def test_live_locks_keep_their_names(self):
+        a, b = TrackedLock("live-a"), TrackedLock("live-b")
+        with a:
+            with b:
+                pass
+        for _ in range(100):
+            TrackedLock()
+        gc.collect()
+        assert ("live-a", "live-b") in lock_order_edges()
+
+        def inverted():
+            with b:
+                with a:
+                    pass
+
+        exc = run_in_thread(inverted)
+        assert isinstance(exc, LockDisciplineError)
+        assert "live-a -> live-b" in str(exc)
 
 
 class Box:

@@ -15,12 +15,12 @@ from repro.dataplane import (
     TileVerdictStore,
     scan_layout,
 )
-from repro.dataplane import stream
-from repro.dataplane.stream import _run_ordered
 from repro.engine import EventBus, EventLog
 from repro.engine.checkpoint import ScanCursor
 from repro.features import FeatureExtractor
 from repro.layout import Layout, Rect, TileGrid
+from repro.nn import runtime
+from repro.nn.runtime import run_ordered
 
 CLIP = DUV_RULES.clip_size
 MARGIN = DUV_RULES.core_margin
@@ -79,11 +79,14 @@ def state_files(root):
 
 
 class TestTilePool:
+    """The process's one ordered pool, used as a scan uses it: items
+    worked on every thread, committed on the caller in item order."""
+
     def test_processes_every_item(self):
         out = []
-        _run_ordered(
-            list(range(25)), lambda x: x * x,
-            lambda item, r: out.append((item, r)), workers=3,
+        run_ordered(
+            list(range(25)), lambda x: x * x, 3,
+            lambda item, r: out.append((item, r)),
         )
         assert out == [(x, x * x) for x in range(25)]
 
@@ -95,8 +98,8 @@ class TestTilePool:
             threads.append(threading.current_thread())
             return x
 
-        _run_ordered(
-            list(range(10)), work, lambda item, r: out.append(r), workers=1
+        run_ordered(
+            list(range(10)), work, 1, lambda item, r: out.append(r)
         )
         assert out == list(range(10))
         assert set(threads) == {threading.current_thread()}
@@ -107,7 +110,7 @@ class TestTilePool:
         def commit(item, result):
             trace.append((item, threading.current_thread()))
 
-        _run_ordered(list(range(40)), lambda x: x, commit, workers=4)
+        run_ordered(list(range(40)), lambda x: x, 4, commit)
         assert trace == [
             (i, threading.current_thread()) for i in range(40)
         ]
@@ -121,9 +124,9 @@ class TestTilePool:
             return x
 
         with pytest.raises(RuntimeError, match="boom"):
-            _run_ordered(
-                list(range(20)), work,
-                lambda item, r: committed.append(item), workers=2,
+            run_ordered(
+                list(range(20)), work, 2,
+                lambda item, r: committed.append(item),
             )
         assert committed == list(range(7))
 
@@ -144,9 +147,9 @@ class TestTilePool:
                 item3_done.set()
             return x
 
-        _run_ordered(
-            list(range(12)), work,
-            lambda item, r: committed.append(r), workers=2,
+        run_ordered(
+            list(range(12)), work, 2,
+            lambda item, r: committed.append(r),
         )
         assert committed == list(range(12))
         # at most 2 * workers items taken past the oldest uncommitted
@@ -205,7 +208,7 @@ class TestStreamScanner:
         tile_scanned sequence and the same persisted bytes."""
         runs = {}
         for workers in (1, 2, 3):
-            monkeypatch.setattr(stream, "_WORKERS", workers)
+            monkeypatch.setattr(runtime, "CPU_WORKERS", workers)
             bus = EventBus()
             log = bus.subscribe(EventLog())
             state = tmp_path / f"w{workers}"
@@ -229,7 +232,7 @@ class TestStreamScanner:
         """Tile 0 is scored only after three later tiles were; the
         events still come in lattice order and the report does not
         change."""
-        monkeypatch.setattr(stream, "_WORKERS", 2)
+        monkeypatch.setattr(runtime, "CPU_WORKERS", 2)
         three_scored = threading.Event()
         lock = threading.Lock()
         scored = []
@@ -261,7 +264,7 @@ class TestStreamScanner:
         assert report.manifest == serial.manifest
 
     def test_one_tile_encodes_at_a_time(self, chip, monkeypatch):
-        monkeypatch.setattr(stream, "_WORKERS", 3)
+        monkeypatch.setattr(runtime, "CPU_WORKERS", 3)
         scanner = make_scanner(chip, tile_clips=1)
         lock = threading.Lock()
         running = {"now": 0, "most": 0}
@@ -282,19 +285,18 @@ class TestStreamScanner:
         assert running["most"] == 1
 
     def test_error_in_tile_is_raised_after_helpers_stop(
-        self, chip, tmp_path, monkeypatch
+        self, chip, tmp_path, monkeypatch, pool_idle
     ):
-        monkeypatch.setattr(stream, "_WORKERS", 3)
+        monkeypatch.setattr(runtime, "CPU_WORKERS", 3)
 
         def fail():
             raise RuntimeError("tile 5 failed")
 
-        before = len(threading.enumerate())
         scanner = make_scanner(chip, tmp_path, tile_clips=1)
         hook_tile(scanner, chip, 5, fail)
         with pytest.raises(RuntimeError, match="tile 5 failed"):
             scanner.scan(chip)
-        assert len(threading.enumerate()) == before
+        assert pool_idle()
         # the tiles before the failing one are persisted, none after
         expected = sorted(tile.key for tile in scanner.grid.tiles()[:5])
         assert TileVerdictStore(tmp_path / "tiles").keys() == expected
@@ -304,12 +306,12 @@ class TestStreamScanner:
         assert sorted(cursor.done) == expected
 
     def test_interrupt_on_caller_stops_the_scan(
-        self, chip, tmp_path, monkeypatch
+        self, chip, tmp_path, monkeypatch, pool_idle
     ):
         """An interrupt raised on the calling thread (here from a
-        progress handler) ends the scan once the helpers have stopped;
+        progress handler) ends the scan once every helper is idle;
         the committed tiles resume."""
-        monkeypatch.setattr(stream, "_WORKERS", 2)
+        monkeypatch.setattr(runtime, "CPU_WORKERS", 2)
 
         def interrupt(event):
             if event.payload["tiles_done"] == 2:
@@ -317,11 +319,10 @@ class TestStreamScanner:
 
         bus = EventBus()
         bus.subscribe(interrupt, kinds=("tile_scanned",))
-        before = len(threading.enumerate())
         scanner = make_scanner(chip, tmp_path, bus=bus)
         with pytest.raises(KeyboardInterrupt):
             scanner.scan(chip)
-        assert len(threading.enumerate()) == before
+        assert pool_idle()
         committed = sorted(tile.key for tile in scanner.grid.tiles()[:2])
         assert TileVerdictStore(tmp_path / "tiles").keys() == committed
 
@@ -455,7 +456,7 @@ class TestStreamScanner:
         grid = TileGrid.for_layout(chip, CLIP, MARGIN, tile_clips=2)
         runs = []
         for workers in (1, 2):
-            monkeypatch.setattr(stream, "_WORKERS", workers)
+            monkeypatch.setattr(runtime, "CPU_WORKERS", workers)
             labeler = LithoLabeler(LithoSimulator.for_tech(chip.tech_nm))
             queried = []
             original = labeler.label_batch

@@ -1,6 +1,7 @@
-"""Multi-threaded stress tests of the streaming scan's ordered tile
-pool and of the event bus, run under ``REPRO_CHECK=strict`` so the
-lock-discipline sanitizer is live throughout."""
+"""Multi-threaded stress tests of the ordered pool the streaming scan
+works its tiles on, and of the event bus, run under
+``REPRO_CHECK=strict`` so the lock-discipline sanitizer is live
+throughout."""
 
 import sys
 import threading
@@ -8,19 +9,17 @@ import threading
 import numpy as np
 import pytest
 
-from repro.dataplane.stream import _run_ordered
+from repro.analysis.modes import set_check_mode
 from repro.engine.events import EventBus
+from repro.nn.runtime import run_ordered
 
 
 @pytest.fixture(autouse=True)
 def _strict(monkeypatch):
-    monkeypatch.setenv("REPRO_CHECK", "strict")
-
-
-def _pool_threads():
-    return [
-        t for t in threading.enumerate() if t.name.startswith("scan-tile")
-    ]
+    monkeypatch.setenv("REPRO_CHECK", "strict")  # threads a test starts
+    previous = set_check_mode("strict")  # the caller, and its helpers
+    yield
+    set_check_mode(previous)
 
 
 def _gil_free_work(item):
@@ -43,9 +42,8 @@ def _short_switch_interval():
 class TestTilePoolUnderLoad:
     @pytest.mark.parametrize("workers", [2, 3, 4, 8])
     def test_every_item_committed_once_in_order(
-        self, workers, _short_switch_interval
+        self, workers, _short_switch_interval, pool_idle
     ):
-        before = len(threading.enumerate())
         lock = threading.Lock()
         committed = []
         taken = []
@@ -60,12 +58,12 @@ class TestTilePoolUnderLoad:
             committed.append(result)
 
         items = list(range(150))
-        _run_ordered(items, work, commit, workers)
+        run_ordered(items, work, workers, commit)
         assert committed == [_gil_free_work(i) for i in items]
         assert sorted(i for i, _ in taken) == items
         # nothing is taken 2 * workers items past the oldest uncommitted
         assert all(i - done < 2 * workers for i, done in taken)
-        assert len(threading.enumerate()) == before
+        assert pool_idle()
 
     def test_slow_items_do_not_stall_the_others(self):
         """Item 0 waits until every other item of its window is done:
@@ -87,18 +85,18 @@ class TestTilePoolUnderLoad:
             return result
 
         committed = []
-        _run_ordered(
-            list(range(40)), work,
-            lambda item, result: committed.append(item), workers,
+        run_ordered(
+            list(range(40)), work, workers,
+            lambda item, result: committed.append(item),
         )
         assert committed == list(range(40))
         assert sorted(finished[: 2 * workers - 1]) == list(
             range(1, 2 * workers)
         )
 
-    def test_worker_exception_propagates(self):
+    def test_worker_exception_propagates(self, pool_idle):
         """The first error in item order is raised once every helper
-        has stopped; the items before it are committed, none after."""
+        is idle; the items before it are committed, none after."""
         committed = []
 
         def work(item):
@@ -109,22 +107,29 @@ class TestTilePoolUnderLoad:
         for _ in range(20):
             committed.clear()
             with pytest.raises(RuntimeError, match="item 7 blew up"):
-                _run_ordered(
-                    list(range(40)), work,
-                    lambda item, result: committed.append(item), 3,
+                run_ordered(
+                    list(range(40)), work, 3,
+                    lambda item, result: committed.append(item),
                 )
             assert committed == list(range(7))
-            assert _pool_threads() == []
+            assert pool_idle()
 
-    def test_interrupt_in_commit_joins_helpers(self):
+    def test_interrupt_in_commit_joins_helpers(self, pool_idle):
         def commit(item, result):
             if item == 5:
                 raise KeyboardInterrupt("ctrl-c")
 
         for _ in range(20):
             with pytest.raises(KeyboardInterrupt):
-                _run_ordered(list(range(40)), _gil_free_work, commit, 4)
-            assert _pool_threads() == []
+                run_ordered(list(range(40)), _gil_free_work, 4, commit)
+            assert pool_idle()
+        # nothing of the interrupted runs reaches the next one
+        results = []
+        run_ordered(
+            list(range(40)), _gil_free_work, 4,
+            lambda item, result: results.append(result),
+        )
+        assert results == [_gil_free_work(i) for i in range(40)]
 
     def test_commit_may_emit_events(self):
         """The scan emits bus events from its commits; the sanitizer
@@ -135,11 +140,11 @@ class TestTilePoolUnderLoad:
         bus.subscribe(
             lambda e: seen.append(e.payload["item"]), kinds=("tile_scanned",)
         )
-        _run_ordered(
+        run_ordered(
             list(range(24)),
             _gil_free_work,
+            4,
             lambda item, result: bus.emit("tile_scanned", item=item),
-            workers=4,
         )
         assert seen == list(range(24))
 

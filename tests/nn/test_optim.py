@@ -1,5 +1,5 @@
 """Tests for optimizers: exact update formulas and convergence, slot
-validation, and the helper threads of the split Adam step."""
+validation, and the split Adam step on the ordered pool."""
 
 import multiprocessing
 import os
@@ -12,7 +12,7 @@ import weakref
 import numpy as np
 import pytest
 
-from repro.nn import optim
+from repro.nn import optim, runtime
 from repro.nn.optim import (
     Adam,
     decode_slot_key,
@@ -184,7 +184,7 @@ class TestSlotValidation:
 
 
 # ----------------------------------------------------------------------
-# the split step's helper threads
+# the split step on the ordered pool
 # ----------------------------------------------------------------------
 
 
@@ -206,111 +206,155 @@ class TestSplit:
     def test_ranges_are_block_aligned_and_the_caller_takes_the_first(
         self, monkeypatch
     ):
-        monkeypatch.setattr(optim, "_WORKERS", 3)
+        monkeypatch.setattr(runtime, "CPU_WORKERS", 3)
         block = optim._BLOCK
+        helped = threading.Event()
         seen, record = _recorder()
-        optim._run_split(record, 5 * block - 7)
+
+        def work(lo, hi):
+            if lo == 0:  # a helper takes a later range meanwhile
+                assert helped.wait(timeout=30)
+            else:
+                helped.set()
+            record(lo, hi)
+
+        optim._run_split(work, 5 * block - 7)
         seen.sort()
         assert [r[:2] for r in seen] == [
             (0, block), (block, 3 * block), (3 * block, 5 * block - 7)]
         names = [r[2] for r in seen]
         assert names[0] == threading.current_thread().name
-        assert len(set(names)) == 3
+        assert any(name.startswith("pool-helper-") for name in names[1:])
         assert all(t.daemon for t in threading.enumerate()
-                   if t.name.startswith("adam-helper-"))
+                   if t.name.startswith("pool-helper-"))
 
     @pytest.mark.parametrize("workers, blocks", [(1, 9), (3, 3)])
     def test_one_cpu_or_a_small_slot_runs_inline(self, monkeypatch,
                                                  workers, blocks):
-        monkeypatch.setattr(optim, "_WORKERS", workers)
+        monkeypatch.setattr(runtime, "CPU_WORKERS", workers)
         seen, record = _recorder()
         size = blocks * optim._BLOCK
         optim._run_split(record, size)
         assert seen == [(0, size, threading.current_thread().name)]
 
-    def test_caller_waits_for_every_helper_when_its_range_raises(self):
+    def test_caller_waits_for_every_helper_when_its_range_raises(
+        self, monkeypatch, pool_idle
+    ):
+        monkeypatch.setattr(runtime, "CPU_WORKERS", 3)
+        block = optim._BLOCK
+        started = threading.Barrier(3, timeout=30)
         caller_failed = threading.Event()
         finished = []
 
         def work(lo, hi):
+            started.wait()  # each range is on its own thread
             if lo == 0:
                 caller_failed.set()
                 raise RuntimeError("caller range")
             # finish only after the caller's range has raised
             if caller_failed.wait(timeout=30):
+                np.ones(1 << 20).sum()
                 finished.append(lo)
 
         with pytest.raises(RuntimeError, match="caller range"):
-            optim._HELPERS.run(work, [(0, 1), (1, 2), (2, 3)])
-        assert sorted(finished) == [1, 2]
+            optim._run_split(work, 5 * block)
+        assert sorted(finished) == [block, 3 * block]
+        assert pool_idle()
         # and the helpers are free for the next caller
         seen, record = _recorder()
-        optim._HELPERS.run(record, [(0, 1), (1, 2)])
-        assert sorted(r[:2] for r in seen) == [(0, 1), (1, 2)]
+        optim._run_split(record, 5 * block)
+        assert sorted(r[:2] for r in seen) == [
+            (0, block), (block, 3 * block), (3 * block, 5 * block)]
 
-    def test_helper_error_is_raised_after_every_range_ran(self):
+    def test_helper_error_is_raised_after_every_range_ran(
+        self, monkeypatch, pool_idle
+    ):
+        monkeypatch.setattr(runtime, "CPU_WORKERS", 3)
+        block = optim._BLOCK
+        started = threading.Barrier(3, timeout=30)
         ran = []
 
         def work(lo, hi):
-            ran.append(lo)
-            if lo == 1:
+            started.wait()  # each range is on its own thread
+            if lo == block:
                 raise ValueError("helper range")
+            np.ones(1 << 20).sum()  # still running when the error lands
+            ran.append(lo)
 
         with pytest.raises(ValueError, match="helper range"):
-            optim._HELPERS.run(work, [(0, 1), (1, 2), (2, 3)])
-        assert sorted(ran) == [0, 1, 2]
+            optim._run_split(work, 5 * block)
+        assert sorted(ran) == [0, 3 * block]
+        assert pool_idle()
 
     def test_interrupted_wait_leaves_nothing_for_the_next_split(
-        self, monkeypatch
+        self, monkeypatch, pool_idle
     ):
-        optim._HELPERS.run(lambda lo, hi: None, [(0, 1), (1, 2)])
+        monkeypatch.setattr(runtime, "CPU_WORKERS", 2)
+        size = 5 * optim._BLOCK
+        optim._run_split(lambda lo, hi: None, size)  # the helper exists
+        first_took, helper_took = threading.Event(), threading.Event()
         release = threading.Event()
         done = []
 
         def first(lo, hi):
             if lo:
+                first_took.set()
                 release.wait(timeout=30)
+            else:  # the helper, not the caller, takes the second range
+                assert first_took.wait(timeout=30)
 
         class Interrupted(queue.SimpleQueue):
             def get(self, *args, **kwargs):
                 raise KeyboardInterrupt  # a Ctrl-C in the caller's wait
 
+        class InterruptedRun(runtime._Run):
+            def __init__(self, *args):
+                super().__init__(*args)
+                self.done = Interrupted()
+
         with monkeypatch.context() as patch:
-            patch.setattr(optim.queue, "SimpleQueue", Interrupted)
+            patch.setattr(runtime, "_Run", InterruptedRun)
             with pytest.raises(KeyboardInterrupt):
-                optim._HELPERS.run(first, [(0, 1), (1, 2)])
+                optim._run_split(first, size)
+        assert first_took.is_set()  # the helper had its range
 
         def second(lo, hi):
             if lo:
+                helper_took.set()
                 np.ones(1 << 20).sum()
                 done.append(lo)
             else:
                 release.set()  # the first split's helper range ends now
+                assert helper_took.wait(timeout=30)
 
-        # the first split's late result must not end this wait
-        optim._HELPERS.run(second, [(0, 1), (1, 2)])
-        assert done == [1]
+        # the helper finishes the first split, then takes this one's
+        # second range, and this wait ends on that range's result
+        optim._run_split(second, size)
+        assert done == [2 * optim._BLOCK]
+        assert pool_idle()
 
-    def test_busy_helpers_leave_the_caller_every_range(self):
+    def test_busy_helpers_leave_the_caller_every_range(self, monkeypatch):
+        monkeypatch.setattr(runtime, "CPU_WORKERS", 2)
         held, release = threading.Event(), threading.Event()
 
         def hold():
-            with optim._HELPERS._lock:
+            with runtime._POOL_LOCK:
                 held.set()
                 release.wait(timeout=30)
 
         holder = threading.Thread(target=hold)
         holder.start()
         seen, record = _recorder()
+        block = optim._BLOCK
         try:
             assert held.wait(timeout=30)
-            optim._HELPERS.run(record, [(0, 1), (1, 2)])
+            optim._run_split(record, 5 * block)
         finally:
             release.set()
             holder.join(timeout=30)
         assert not holder.is_alive()
         me = threading.current_thread().name
-        assert seen == [(0, 1, me), (1, 2, me)]
+        assert seen == [(0, 2 * block, me), (2 * block, 5 * block, me)]
 
     def test_concurrent_callers_get_the_serial_bytes(self, monkeypatch):
         """More callers than CPUs and a short switch interval: whether a
@@ -325,10 +369,10 @@ class TestSplit:
             for grad in grads:
                 opt.step([(_KEY, param, grad)])
 
-        monkeypatch.setattr(optim, "_WORKERS", 1)
+        monkeypatch.setattr(runtime, "CPU_WORKERS", 1)
         want = start.copy()
         train(want)
-        monkeypatch.setattr(optim, "_WORKERS", 3)
+        monkeypatch.setattr(runtime, "CPU_WORKERS", 3)
         params = [start.copy() for _ in range(4)]
         errors = []
 
@@ -355,7 +399,7 @@ class TestSplit:
 
     def test_helpers_keep_no_reference_to_a_finished_step(self,
                                                           monkeypatch):
-        monkeypatch.setattr(optim, "_WORKERS", 2)
+        monkeypatch.setattr(runtime, "CPU_WORKERS", 2)
         param = np.zeros(5 * optim._BLOCK)
         grad = np.ones_like(param)
         Adam(lr=0.1).step([(_KEY, param, grad)])
@@ -364,7 +408,7 @@ class TestSplit:
         assert gone() is None
 
     def test_decayed_step_allocates_nothing_full_size(self, monkeypatch):
-        monkeypatch.setattr(optim, "_WORKERS", 2)
+        monkeypatch.setattr(runtime, "CPU_WORKERS", 2)
         rng = np.random.default_rng(5)
         param = rng.normal(size=(4608, 64))
         grad = rng.normal(size=param.shape)
@@ -381,7 +425,7 @@ class TestSplit:
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
     def test_forked_child_starts_its_own_helpers(self, monkeypatch):
-        monkeypatch.setattr(optim, "_WORKERS", 2)
+        monkeypatch.setattr(runtime, "CPU_WORKERS", 2)
         _step_split_slot()  # the parent's helper is running now
         child = multiprocessing.get_context("fork").Process(
             target=_step_split_slot)

@@ -27,7 +27,7 @@ import pytest
 from repro.model.cnn import build_hotspot_cnn, build_hotspot_mlp
 from repro.nn import BatchNorm, Dense, ReLU, Sequential
 from repro.nn.im2col import col2im, conv_output_size, im2col
-from repro.nn import optim
+from repro.nn import optim, runtime
 from repro.nn.layers import MaxPool2D
 from repro.nn.optim import Adam
 
@@ -224,7 +224,7 @@ def test_adam_matches_out_of_place_update(case, monkeypatch):
     # one worker turns the split off; three cut the split slots into
     # more ranges than this machine may have CPUs
     for workers in (1, 2, 3):
-        monkeypatch.setattr(optim, "_WORKERS", workers)
+        monkeypatch.setattr(runtime, "CPU_WORKERS", workers)
         rng = np.random.default_rng(17)
         start = {k: rng.normal(size=shape)
                  for k, shape in _adam_shapes().items()}
