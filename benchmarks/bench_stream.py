@@ -78,7 +78,7 @@ def _eager_scan(layout):
     clips = [
         c for c in extract_clip_grid(layout, CLIP, MARGIN,
                                      drop_empty=False)
-        if c.rects
+        if len(c.boxes)
     ]
     fx = FeatureExtractor(grid=96)
     tensors = np.stack([fx.encode(c) for c in clips])

@@ -94,7 +94,31 @@ _edges: dict[int, set[int]] = {}
 #: live lock uid -> display name (for inversion messages); a lock's
 #: entry goes when the lock is collected
 _uid_names: dict[int, str] = {}
+#: collected lock uids whose edges the next _graph_mutex holder drops
+_dead: list[int] = []
 _uids = itertools.count(1)
+
+
+def _forget(uid: int) -> None:
+    """Finalizer of a tracked lock.  The collector may run it on a
+    thread that holds _graph_mutex, so it only drops the lock's edges
+    itself when the mutex is free."""
+    _uid_names.pop(uid, None)
+    _dead.append(uid)
+    if _graph_mutex.acquire(blocking=False):
+        try:
+            _drop_dead()
+        finally:
+            _graph_mutex.release()
+
+
+def _drop_dead() -> None:
+    """Remove the edges of collected locks (called under _graph_mutex)."""
+    while _dead:
+        uid = _dead.pop()
+        _edges.pop(uid, None)
+        for targets in _edges.values():
+            targets.discard(uid)
 
 
 def _path_exists(src: int, dst: int) -> bool:
@@ -121,6 +145,7 @@ def _note_acquisition(lock: "_TrackedBase") -> str | None:
     if not stack:
         return None
     with _graph_mutex:
+        _drop_dead()
         for held in stack:
             if held is lock:
                 continue
@@ -148,9 +173,9 @@ def held_locks() -> tuple["_TrackedBase", ...]:
 
 def lock_order_edges() -> frozenset[tuple[str, str]]:
     """Snapshot of the acquisition-order graph as ``(outer, inner)``
-    lock-name pairs (test/debugging introspection); a lock collected
-    since shows as ``lock-<uid>``."""
+    lock-name pairs (test/debugging introspection)."""
     with _graph_mutex:
+        _drop_dead()
         return frozenset(
             (_uid_names.get(src, f"lock-{src}"),
              _uid_names.get(dst, f"lock-{dst}"))
@@ -177,10 +202,8 @@ class _TrackedBase:
         self._inner = self._make_inner()
         self._uid = next(_uids)
         self.name = name if name is not None else f"lock-{self._uid}"
-        # single dict operations, without _graph_mutex: the collector
-        # may run the finalizer on a thread that holds it
         _uid_names[self._uid] = self.name
-        weakref.finalize(self, _uid_names.pop, self._uid, None)
+        weakref.finalize(self, _forget, self._uid)
         #: ident of the owning thread (None when free); written only by
         #: the thread that holds the inner lock, read opportunistically
         self._owner: int | None = None

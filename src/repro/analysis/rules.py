@@ -11,10 +11,10 @@ The rules encode invariants earlier PRs rely on:
     numeric stack (rasterization, DCT encoding through gradients) is
     float64; a stray ``np.float32`` literal or ``astype`` downcast
     truncates bits that the bit-identity tests of the data plane depend
-    on.  Scope: ``repro/nn``, ``repro/features`` and
-    ``repro/layout/raster.py``, whose raster feeds both the litho
-    verdicts and the DCT features, so a downcast there would change
-    every label and every feature.
+    on.  Scope: ``repro/nn``, ``repro/features`` and ``repro/layout``,
+    whose int64 clip boxes become the raster's float64 input and whose
+    raster feeds both the litho verdicts and the DCT features, so a
+    downcast there would change every label and every feature.
 ``R003`` **registered event names only** — ``EventBus.emit`` rejects
     unknown kinds at runtime; the linter catches the typo before any
     code runs by checking literal emit names against ``EVENT_KINDS``.
@@ -64,8 +64,7 @@ class LintContext:
 
     ``module_path`` is the file's path normalized to forward slashes;
     rules use suffix matching against it to scope themselves (e.g. R002
-    only inside ``repro/nn``, ``repro/features`` and
-    ``repro/layout/raster.py``).
+    only inside ``repro/nn``, ``repro/features`` and ``repro/layout``).
     """
 
     module_path: str
@@ -134,7 +133,7 @@ def rule_r001(tree: ast.Module, context: LintContext) -> list[Violation]:
 
 
 _DOWNCAST_NAMES = frozenset({"float32", "float16", "half", "single", "csingle"})
-_R002_SCOPES = ("repro/nn/", "repro/features/", "repro/layout/raster.py")
+_R002_SCOPES = ("repro/nn/", "repro/features/", "repro/layout/")
 #: rule-level allowlist: the compute runtime is the single sanctioned
 #: home of float32 (PrecisionPolicy's fast mode); every other kernel
 #: module must obtain its compute dtype through the policy
@@ -143,7 +142,7 @@ _R002_ALLOWED = ("repro/nn/runtime.py",)
 
 def rule_r002(tree: ast.Module, context: LintContext) -> list[Violation]:
     """R002: no float32/float16 literals or downcasts in f8 kernels:
-    the nn and features packages and the rasterizer.
+    the nn, features and layout packages.
 
     ``repro/nn/runtime.py`` is allowlisted: the precision policy there
     is the one place allowed to name float32, so downcasts stay
@@ -166,7 +165,7 @@ def rule_r002(tree: ast.Module, context: LintContext) -> list[Violation]:
                     node.lineno,
                     node.col_offset,
                     f"np.{node.attr} breaks the float64 invariance of the "
-                    "raster/features/nn kernels",
+                    "layout/features/nn kernels",
                 )
             )
         # dtype strings only count as call arguments ("float32" in a
@@ -183,7 +182,7 @@ def rule_r002(tree: ast.Module, context: LintContext) -> list[Violation]:
                             arg.lineno,
                             arg.col_offset,
                             f"dtype string {arg.value!r} breaks the float64 "
-                            "invariance of the raster/features/nn kernels",
+                            "invariance of the layout/features/nn kernels",
                         )
                     )
     return [_v(context.module_path, line, col, "R002", msg) for line, col, msg in out]

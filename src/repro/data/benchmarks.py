@@ -223,7 +223,6 @@ def _load_cached(path: Path, spec: BenchmarkSpec) -> ClipDataset:
             Clip(
                 window=Rect(*map(int, windows[i])),
                 core=Rect(*map(int, cores[i])),
-                rects=[],
                 layout_name=spec.name,
                 index=i,
             )

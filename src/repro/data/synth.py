@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..layout.geometry import Rect
+from ..layout.geometry import Rect, boxes_of
 from ..layout.layout import Layout
 
 __all__ = ["TechRules", "DUV_RULES", "EUV_RULES", "generate_layout"]
@@ -320,7 +320,8 @@ def _pattern_fails(library: PatternLibrary) -> np.ndarray:
     return np.array(
         [
             simulator.is_hotspot(
-                Clip(window, core, rects=library.place(i, margin, margin), index=i)
+                Clip(window, core, boxes_of(library.place(i, margin, margin)),
+                     index=i)
             )
             for i in range(len(library))
         ]

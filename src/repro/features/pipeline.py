@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..analysis.contracts import contract
-from ..layout.clip import Clip
+from ..layout.clip import Clip, stack_boxes
 from ..layout.raster import rasterize_stack
 from ..nn.runtime import PRECISION_MODES, PrecisionPolicy
 from .dct import dct_encode, dct_encode_stack
@@ -125,9 +125,9 @@ class FeatureExtractor:
         """Rasters of many clips, stacked into ``(N, grid, grid)`` in one
         vectorized pass (bit-identical to :meth:`raster` per clip)."""
         clips = list(clips)
+        boxes, counts = stack_boxes(clips)
         return rasterize_stack(
-            [clip.rects for clip in clips], [clip.size for clip in clips],
-            self.grid,
+            boxes, counts, [clip.size for clip in clips], self.grid
         )
 
     @contract(returns="f8[C,B,B]")

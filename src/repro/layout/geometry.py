@@ -9,7 +9,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = ["Rect", "bounding_box", "total_area", "merge_touching"]
+import numpy as np
+
+__all__ = ["Rect", "bounding_box", "boxes_of"]
 
 
 @dataclass(frozen=True, order=True)
@@ -54,29 +56,6 @@ class Rect:
             and other.y0 < self.y1
         )
 
-    def intersection(self, other: "Rect") -> "Rect | None":
-        """Overlap region, or ``None`` when interiors are disjoint."""
-        if not self.intersects(other):
-            return None
-        return Rect(
-            max(self.x0, other.x0),
-            max(self.y0, other.y0),
-            min(self.x1, other.x1),
-            min(self.y1, other.y1),
-        )
-
-    def contains_point(self, x: float, y: float) -> bool:
-        """Half-open containment test."""
-        return self.x0 <= x < self.x1 and self.y0 <= y < self.y1
-
-    def contains_rect(self, other: "Rect") -> bool:
-        return (
-            self.x0 <= other.x0
-            and self.y0 <= other.y0
-            and other.x1 <= self.x1
-            and other.y1 <= self.y1
-        )
-
     def expanded(self, margin: int) -> "Rect":
         """Grow (or shrink, for negative margin) by ``margin`` on all sides."""
         return Rect(
@@ -100,56 +79,9 @@ def bounding_box(rects) -> Rect:
     )
 
 
-def total_area(rects) -> int:
-    """Union area of possibly overlapping rects (sweep over y-slabs).
-
-    Exact for integer coordinates; quadratic in the number of rects, so
-    intended for per-clip geometry counts, not full chips.
-    """
-    rects = list(rects)
-    if not rects:
-        return 0
-    ys = sorted({r.y0 for r in rects} | {r.y1 for r in rects})
-    area = 0
-    for y_lo, y_hi in zip(ys, ys[1:]):
-        spans = sorted(
-            (r.x0, r.x1) for r in rects if r.y0 <= y_lo and r.y1 >= y_hi
-        )
-        covered = 0
-        cur_lo: int | None = None
-        cur_hi: int | None = None
-        for x0, x1 in spans:
-            if cur_hi is None or x0 > cur_hi:
-                if cur_hi is not None:
-                    covered += cur_hi - cur_lo
-                cur_lo, cur_hi = x0, x1
-            else:
-                cur_hi = max(cur_hi, x1)
-        if cur_hi is not None:
-            covered += cur_hi - cur_lo
-        area += covered * (y_hi - y_lo)
-    return area
-
-
-def merge_touching(rects) -> list[Rect]:
-    """Greedily merge horizontally abutting rects of equal height.
-
-    A light-weight cleanup pass used by the synthetic layout generators to
-    keep shape counts down; not a full polygon union.
-    """
-    by_row: dict[tuple[int, int], list[Rect]] = {}
-    for r in rects:
-        by_row.setdefault((r.y0, r.y1), []).append(r)
-
-    merged: list[Rect] = []
-    for (y0, y1), row in by_row.items():
-        row.sort(key=lambda r: r.x0)
-        cur = row[0]
-        for r in row[1:]:
-            if r.x0 <= cur.x1:
-                cur = Rect(cur.x0, y0, max(cur.x1, r.x1), y1)
-            else:
-                merged.append(cur)
-                cur = r
-        merged.append(cur)
-    return sorted(merged)
+def boxes_of(rects) -> np.ndarray:
+    """``rects`` as an ``(n, 4)`` int64 array of ``[x0, y0, x1, y1]``
+    rows, in the order given: the form clip geometry is stored in."""
+    return np.array(
+        [r.as_tuple() for r in rects], dtype=np.int64
+    ).reshape(-1, 4)

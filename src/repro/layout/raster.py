@@ -24,8 +24,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .geometry import Rect
-
 __all__ = ["rasterize", "rasterize_stack"]
 
 #: clips per pass of :func:`rasterize_stack`, so its per-pixel
@@ -35,15 +33,15 @@ _PASS_CLIPS = 16
 
 
 def rasterize(
-    rects, window_size: tuple[int, int], grid: int, antialias: bool = True
+    boxes, window_size: tuple[int, int], grid: int, antialias: bool = True
 ) -> np.ndarray:
-    """Rasterize clip-local ``rects`` into a ``(grid, grid)`` float image.
+    """Rasterize clip-local ``boxes`` into a ``(grid, grid)`` float image.
 
     Parameters
     ----------
-    rects:
-        Shapes already clipped and re-based to the window origin
-        (see :meth:`repro.layout.Layout.query_clipped`).
+    boxes:
+        ``(n, 4)`` ``[x0, y0, x1, y1]`` shapes already clipped and
+        re-based to the window origin (see :attr:`repro.layout.Clip.boxes`).
     window_size:
         ``(width_nm, height_nm)`` of the clip window.
     grid:
@@ -58,39 +56,46 @@ def rasterize(
     ``y = 0`` (layout coordinates; callers wanting screen orientation can
     flip).  Values lie in [0, 1].
     """
+    boxes = np.asarray(boxes, dtype=np.int64).reshape(-1, 4)
     if antialias:
-        return rasterize_stack([rects], [window_size], grid)[0]
+        return rasterize_stack(boxes, [len(boxes)], [window_size], grid)[0]
     _check_windows([window_size], grid)
 
     width_nm, height_nm = window_size
     image = np.zeros((grid, grid), dtype=np.float64)
     px_w = width_nm / grid
     px_h = height_nm / grid
-    for rect in rects:
-        _paint_centres(image, rect, px_w, px_h, grid)
+    for box in boxes.tolist():
+        _paint_centres(image, box, px_w, px_h, grid)
     return image
 
 
-def rasterize_stack(rect_lists, window_sizes, grid: int) -> np.ndarray:
+def rasterize_stack(boxes, counts, window_sizes, grid: int) -> np.ndarray:
     """Antialiased rasters of many clips, stacked into ``(N, grid, grid)``.
 
-    ``rect_lists[i]`` holds clip ``i``'s clip-local rects and
-    ``window_sizes[i]`` its own ``(width_nm, height_nm)``; each slice
-    ``[i]`` equals ``rasterize(rect_lists[i], window_sizes[i], grid)``.
+    ``boxes`` concatenates the clips' clip-local ``(n, 4)`` boxes, clip
+    ``i`` owning the next ``counts[i]`` rows, and ``window_sizes[i]`` is
+    its own ``(width_nm, height_nm)``; each slice ``[i]`` equals
+    ``rasterize(boxes_i, window_sizes[i], grid)``.
     """
-    rect_lists, window_sizes = list(rect_lists), list(window_sizes)
-    if len(rect_lists) != len(window_sizes):
+    counts = np.asarray(counts, dtype=np.int64).reshape(-1)
+    if len(counts) != len(window_sizes):
         raise ValueError(
-            f"{len(rect_lists)} rect lists but {len(window_sizes)} window sizes"
+            f"{len(counts)} box counts but {len(window_sizes)} window sizes"
         )
+    box = np.asarray(boxes, dtype=np.float64).reshape(-1, 4)
+    if counts.sum() != len(box):
+        raise ValueError(f"counts sum to {counts.sum()} for {len(box)} boxes")
     _check_windows(window_sizes, grid)
     sizes = np.array(window_sizes, dtype=np.float64).reshape(-1, 2)
 
-    out = np.empty((len(rect_lists), grid, grid), dtype=np.float64)
-    for start in range(0, len(rect_lists), _PASS_CLIPS):
-        stop = start + _PASS_CLIPS
-        coverage = _coverage(rect_lists[start:stop], sizes[start:stop], grid)
-        np.clip(coverage.reshape(-1, grid, grid), 0.0, 1.0, out=out[start:stop])
+    offsets = np.cumsum(counts) - counts
+    out = np.empty((len(counts), grid, grid), dtype=np.float64)
+    for start in range(0, len(counts), _PASS_CLIPS):
+        part = slice(start, start + _PASS_CLIPS)
+        rows = box[offsets[start] :][: counts[part].sum()]
+        coverage = _coverage(rows, counts[part], sizes[part], grid)
+        np.clip(coverage.reshape(-1, grid, grid), 0.0, 1.0, out=out[part])
     return out
 
 
@@ -103,14 +108,11 @@ def _check_windows(window_sizes, grid: int) -> None:
         raise ValueError(f"grid must be positive, got {grid}")
 
 
-def _coverage(rect_lists, sizes: np.ndarray, grid: int) -> np.ndarray:
+def _coverage(
+    box: np.ndarray, counts: np.ndarray, sizes: np.ndarray, grid: int
+) -> np.ndarray:
     """Unclipped coverage sums of a few clips, flat over (clip, row, col)."""
-    counts = [len(rects) for rects in rect_lists]
-    box = np.array(
-        [(r.x0, r.y0, r.x1, r.y1) for rects in rect_lists for r in rects],
-        dtype=np.float64,
-    ).reshape(-1, 4)
-    clip = np.repeat(np.arange(len(rect_lists)), counts)
+    clip = np.repeat(np.arange(len(counts)), counts)
     pitch = sizes[clip] / grid  # (px_w, px_h) of each rect's clip
     # the pixels [lo, hi) each rect touches, per axis, inside the window
     lo = np.maximum(np.floor(box[:, :2] / pitch), 0.0)
@@ -134,7 +136,7 @@ def _coverage(rect_lists, sizes: np.ndarray, grid: int) -> np.ndarray:
     pixel = at + np.repeat(row_pixel - run_start, run)
     weight = np.repeat(fy, run) * fx[fx_at]
     return np.bincount(
-        pixel, weights=weight, minlength=len(rect_lists) * grid * grid
+        pixel, weights=weight, minlength=len(counts) * grid * grid
     )
 
 
@@ -151,12 +153,13 @@ def _fractions(first, count, lo_nm, hi_nm, pitch):
 
 
 def _paint_centres(
-    image: np.ndarray, rect: Rect, px_w: float, px_h: float, grid: int
+    image: np.ndarray, box, px_w: float, px_h: float, grid: int
 ) -> None:
-    """Set pixels whose centre lies inside the rect."""
-    col0 = max(int(np.ceil(rect.x0 / px_w - 0.5)), 0)
-    col1 = min(int(np.ceil(rect.x1 / px_w - 0.5)), grid)
-    row0 = max(int(np.ceil(rect.y0 / px_h - 0.5)), 0)
-    row1 = min(int(np.ceil(rect.y1 / px_h - 0.5)), grid)
+    """Set pixels whose centre lies inside ``box`` (``x0, y0, x1, y1``)."""
+    x0, y0, x1, y1 = box
+    col0 = max(int(np.ceil(x0 / px_w - 0.5)), 0)
+    col1 = min(int(np.ceil(x1 / px_w - 0.5)), grid)
+    row0 = max(int(np.ceil(y0 / px_h - 0.5)), 0)
+    row1 = min(int(np.ceil(y1 / px_h - 0.5)), grid)
     if col0 < col1 and row0 < row1:
         image[row0:row1, col0:col1] = 1.0

@@ -4,18 +4,19 @@
 for benchmark-sized dies, fatal for full-chip scans where the window
 count runs into the millions.  A :class:`TileGrid` partitions the same
 clip-window lattice into rectangular *tiles* of a few windows per edge
-and iterates the clips of one tile at a time straight off the layout's
-bucket index (:meth:`~repro.layout.layout.Layout.query_clipped`), so a
-scan holds one tile's worth of geometry and features in memory instead
-of the whole chip.
+and cuts the clips of one tile at a time, all in one numpy pass over
+the layout's bucket index (:meth:`~repro.layout.layout.Layout.cut`),
+each clip's geometry an int64 array of boxes, so a scan holds one
+tile's worth of geometry and features in memory, not the whole chip.
 
 Tiles are also the unit of **incremental re-detection**: every tile has
 a content digest folded from the
-:meth:`~repro.layout.clip.Clip.content_key` of its clips, and a
-*manifest* maps tile keys to digests.  After a layout edit, comparing
-manifests tells the streaming scanner (:mod:`repro.dataplane.stream`)
-exactly which tiles must be re-extracted and re-scored; untouched tiles
-replay their cached verdicts bit-identically.
+:meth:`~repro.layout.clip.Clip.content_key` of its clips
+(:meth:`TileGrid.digest_clips`).  After a layout edit, comparing a
+tile's digest with the one its scan cursor recorded tells the streaming
+scanner (:mod:`repro.dataplane.stream`) whether the tile must be
+re-extracted and re-scored; untouched tiles replay their cached
+verdicts bit-identically.
 
 Clip indices here are **grid positions** (``row * n_cols + col``), so a
 clip's identity is independent of the tiling and of how many neighbours
@@ -31,14 +32,14 @@ import hashlib
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .clip import Clip, content_keys
+from .clip import Clip, _check_margin, content_keys, cut_lattice
 from .geometry import Rect
 from .layout import Layout
 
 __all__ = ["Tile", "TileGrid"]
 
 #: digest of a tile with no geometry at all (stable sentinel, so empty
-#: tiles compare equal across manifests without hashing anything)
+#: tiles compare equal across scans without hashing anything)
 EMPTY_TILE_DIGEST = "empty"
 
 
@@ -47,9 +48,7 @@ class Tile:
     """One rectangular block of clip windows.
 
     ``rows``/``cols`` are half-open ranges into the chip-wide window
-    lattice; ``region`` is the union of the member windows in absolute
-    nm (margins included), which is what a spatial query for "everything
-    this tile can see" should use.
+    lattice.
     """
 
     tx: int
@@ -58,15 +57,10 @@ class Tile:
     row1: int
     col0: int
     col1: int
-    region: Rect
-
-    @property
-    def n_windows(self) -> int:
-        return (self.row1 - self.row0) * (self.col1 - self.col0)
 
     @property
     def key(self) -> str:
-        """Stable identifier used by manifests, cursors and stores."""
+        """Stable identifier used by scan cursors and verdict stores."""
         return f"{self.tx:04d}_{self.ty:04d}"
 
 
@@ -95,11 +89,7 @@ class TileGrid:
         step: int | None = None,
         tile_clips: int = 8,
     ) -> None:
-        if 2 * core_margin >= clip_size:
-            raise ValueError(
-                f"core margin {core_margin} leaves no core in "
-                f"{clip_size}x{clip_size} windows"
-            )
+        _check_margin(core_margin, clip_size, clip_size)
         if step is None:
             step = clip_size - 2 * core_margin
         if step <= 0:
@@ -149,10 +139,6 @@ class TileGrid:
     def n_tile_rows(self) -> int:
         return -(-self.n_rows // self.tile_clips) if self.n_rows else 0
 
-    @property
-    def n_tiles(self) -> int:
-        return self.n_tile_rows * self.n_tile_cols
-
     def window(self, row: int, col: int) -> Rect:
         """Absolute window rect of lattice position ``(row, col)``."""
         if not (0 <= row < self.n_rows and 0 <= col < self.n_cols):
@@ -179,17 +165,7 @@ class TileGrid:
         row0 = ty * self.tile_clips
         col1 = min(col0 + self.tile_clips, self.n_cols)
         row1 = min(row0 + self.tile_clips, self.n_rows)
-        first = self.window(row0, col0)
-        last = self.window(row1 - 1, col1 - 1)
-        return Tile(
-            tx=tx,
-            ty=ty,
-            row0=row0,
-            row1=row1,
-            col0=col0,
-            col1=col1,
-            region=Rect(first.x0, first.y0, last.x1, last.y1),
-        )
+        return Tile(tx, ty, row0, row1, col0, col1)
 
     def tiles(self) -> list[Tile]:
         """Every tile, row-major (the scan order of the lattice)."""
@@ -213,23 +189,18 @@ class TileGrid:
     ) -> Iterator[Clip]:
         """Lazily cut the clips of ``tile`` from ``layout``.
 
-        Each window is served straight from the layout's bucket index;
-        nothing outside the tile is touched.  ``drop_empty`` skips
-        windows with no geometry (their index is *not* reused — see the
-        module docstring on stable grid indices).
+        Every window of the tile is cut in one
+        :meth:`~repro.layout.layout.Layout.cut` pass over the layout's
+        bucket index; nothing outside the tile is touched.
+        ``drop_empty`` skips windows with no geometry (their index is
+        *not* reused — see the module docstring on stable grid indices).
         """
-        core_margin = self.core_margin
-        for index, window in self.iter_windows(tile):
-            rects = layout.query_clipped(window)
-            if not rects and drop_empty:
-                continue
-            yield Clip(
-                window=window,
-                core=window.expanded(-core_margin),
-                rects=rects,
-                layout_name=layout.name,
-                index=index,
-            )
+        yield from cut_lattice(
+            layout, self.window(tile.row0, tile.col0), self.core_margin,
+            self.step, tile.row1 - tile.row0, tile.col1 - tile.col0,
+            index0=self.clip_index(tile.row0, tile.col0), stride=self.n_cols,
+            drop_empty=drop_empty,
+        )
 
     # ------------------------------------------------------------------
     # content digests (incremental re-detection)
@@ -255,23 +226,8 @@ class TileGrid:
             folded.update(f"{clip.index}:{key}\n".encode())
         return folded.hexdigest()[:32]
 
-    def tile_digest(self, layout: Layout, tile: Tile) -> str:
-        """Digest of ``tile`` computed directly from ``layout``."""
-        return self.digest_clips(list(self.iter_clips(layout, tile)))
-
-    def manifest(self, layout: Layout) -> dict[str, str]:
-        """``tile.key -> digest`` for the whole chip.
-
-        Comparing two manifests yields the tile set to re-detect after
-        a layout edit; everything else replays.
-        """
-        return {
-            tile.key: self.tile_digest(layout, tile)
-            for tile in self.tiles()
-        }
-
     def fingerprint(self) -> dict:
-        """Lattice identity a scan cursor/manifest must match to be
+        """Lattice identity a scan cursor must match to be
         replayable (die placement, window geometry and tiling)."""
         return {
             "die": list(self.die.as_tuple()),

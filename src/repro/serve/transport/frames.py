@@ -44,7 +44,7 @@ import zlib
 
 import numpy as np
 
-from ...layout.clip import Clip
+from ...layout.clip import Clip, stack_boxes
 from ...layout.geometry import Rect
 from ..server import ServeResult
 from .errors import ConnectionLost, FrameCorrupt, ProtocolMismatch, ReadTimeout
@@ -236,11 +236,7 @@ def encode_clips(
     cores = np.array(
         [c.core.as_tuple() for c in clips], dtype=np.int64
     ).reshape(len(clips), 4)
-    counts = np.array([len(c.rects) for c in clips], dtype=np.int64)
-    flat = [r for c in clips for r in c.rects]
-    rects = np.array(
-        [(r.x0, r.y0, r.x1, r.y1) for r in flat], dtype=np.int64
-    ).reshape(len(flat), 4)
+    rects, counts = stack_boxes(clips)
     names = np.array([c.layout_name for c in clips])
     indices = np.array([c.index for c in clips], dtype=np.int64)
     buffer = io.BytesIO()
@@ -268,24 +264,21 @@ def decode_clips(payload: bytes) -> tuple[list[Clip], str | None, bool]:
             want_labels = bool(data["want_labels"][()])
     except (OSError, ValueError, KeyError, zlib.error) as exc:
         raise FrameCorrupt(f"undecodable request payload: {exc}") from exc
-    clips: list[Clip] = []
-    offset = 0
-    for i in range(len(windows)):
-        n = int(counts[i])
-        clip_rects = [
-            Rect(int(x0), int(y0), int(x1), int(y1))
-            for x0, y0, x1, y1 in rects[offset : offset + n]
-        ]
-        offset += n
-        clips.append(
-            Clip(
-                window=Rect(*(int(v) for v in windows[i])),
-                core=Rect(*(int(v) for v in cores[i])),
-                rects=clip_rects,
-                layout_name=str(names[i]),
-                index=int(indices[i]),
-            )
+    if not (
+        rects.dtype == counts.dtype == np.int64 and rects.ndim == 2
+        and rects.shape[1] == 4 and counts.shape == (len(windows),)
+        and (counts >= 0).all() and counts.sum() == len(rects)
+        and (rects[:, 2:] > rects[:, :2]).all()
+    ):
+        raise FrameCorrupt("malformed request geometry")
+    ends = np.cumsum(counts).tolist()
+    clips = [
+        Clip(Rect(*window), Rect(*core), rects[end - n : end], name, index)
+        for window, core, n, end, name, index in zip(
+            windows.tolist(), cores.tolist(), counts.tolist(), ends,
+            names.tolist(), indices.tolist(),
         )
+    ]
     return clips, (model or None), want_labels
 
 

@@ -36,10 +36,11 @@ def _svg_header(view: Rect, width_px: int) -> str:
     )
 
 
-def _rect_tag(rect: Rect, style: str) -> str:
+def _rect_tag(box, style: str) -> str:
+    x0, y0, x1, y1 = box
     return (
-        f'<rect x="{rect.x0}" y="{rect.y0}" width="{rect.width}" '
-        f'height="{rect.height}" style="{style}"/>'
+        f'<rect x="{x0}" y="{y0}" width="{x1 - x0}" '
+        f'height="{y1 - y0}" style="{style}"/>'
     )
 
 
@@ -50,7 +51,7 @@ def render_layout_svg(
     view = view if view is not None else layout.die
     parts = [_svg_header(view, width_px)]
     parts.extend(
-        _rect_tag(rect, _STYLE["metal"])
+        _rect_tag(rect.as_tuple(), _STYLE["metal"])
         for rect in layout.query(view)
     )
     parts.append("</svg>")
@@ -64,8 +65,10 @@ def render_clip_svg(clip: Clip, path, width_px: int = 400) -> str:
     width, height = clip.size
     view = Rect(0, 0, width, height)
     parts = [_svg_header(view, width_px)]
-    parts.extend(_rect_tag(rect, _STYLE["metal"]) for rect in clip.rects)
-    parts.append(_rect_tag(clip.core_local(), _STYLE["core"]))
+    parts.extend(
+        _rect_tag(box, _STYLE["metal"]) for box in clip.boxes.tolist()
+    )
+    parts.append(_rect_tag(clip.core_local().as_tuple(), _STYLE["core"]))
     parts.append("</svg>")
     text = "\n".join(parts)
     Path(path).write_text(text)
@@ -97,8 +100,8 @@ def render_detection_svg(
     for i, clip in enumerate(dataset.clips):
         window = clip.window
         if i in sampled:
-            parts.append(_rect_tag(window, _STYLE["sampled"]))
-        parts.append(_rect_tag(window, _STYLE["window"]))
+            parts.append(_rect_tag(window.as_tuple(), _STYLE["sampled"]))
+        parts.append(_rect_tag(window.as_tuple(), _STYLE["window"]))
         if dataset.labels[i] == 1:
             cx, cy = window.center
             r = window.width // 6

@@ -216,6 +216,61 @@ class TestLockNames:
         assert "live-a -> live-b" in str(exc)
 
 
+class TestCollectedLockEdges:
+    def test_edges_of_collected_locks_are_dropped(self):
+        a, b = TrackedLock("keep-a"), TrackedLock("keep-b")
+        with a:
+            with b:
+                pass
+        for i in range(50):
+            gone = TrackedLock(f"gone-{i}")
+            with a:
+                with gone:
+                    pass
+            with gone:
+                with b:
+                    pass
+            del gone
+        gc.collect()
+        assert lock_order_edges() == {("keep-a", "keep-b")}
+        assert concurrency._dead == []
+
+    def test_inversion_of_live_locks_survives_collections(self):
+        a, b = TrackedLock("live-a"), TrackedLock("live-b")
+        with a:
+            with b:
+                pass
+        for _ in range(20):
+            other = TrackedLock()
+            with other:
+                with a:
+                    pass
+            del other
+        gc.collect()
+
+        def inverted():
+            with b:
+                with a:
+                    pass
+
+        exc = run_in_thread(inverted)
+        assert isinstance(exc, LockDisciplineError)
+        assert "live-a -> live-b" in str(exc)
+
+    def test_lock_collected_under_the_graph_mutex(self):
+        """The finalizer may run on a thread that holds the graph
+        mutex: it must not wait for it, and the next holder drops the
+        collected lock's edges."""
+        a, gone = TrackedLock("holder"), TrackedLock("collected")
+        with a:
+            with gone:
+                pass
+        with concurrency._graph_mutex:
+            del gone
+            gc.collect()
+        assert lock_order_edges() == frozenset()
+
+
 class Box:
     _items = guarded_by("_lock")
 

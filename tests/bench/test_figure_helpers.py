@@ -38,7 +38,7 @@ class TestLayoutMap:
         for j in range(2):
             for i in range(3):
                 w = window.shifted(100 * i, 100 * j)
-                clips.append(Clip(w, w.expanded(-20), rects=[],
+                clips.append(Clip(w, w.expanded(-20),
                                   index=j * 3 + i))
         labels = np.array([0, 1, 0, 0, 0, 1])
         return ClipDataset("m", 7, clips, labels,

@@ -18,7 +18,7 @@ def random_dataset(seed, n=80, ratio=0.2):
     window = Rect(0, 0, 100, 100)
     clips = [
         Clip(window.shifted(100 * i, 0),
-             window.shifted(100 * i, 0).expanded(-20), rects=[], index=i)
+             window.shifted(100 * i, 0).expanded(-20), index=i)
         for i in range(n)
     ]
     labels = (rng.random(n) < ratio).astype(np.int64)

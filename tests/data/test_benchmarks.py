@@ -1,9 +1,12 @@
 """Tests for benchmark builders and the dataset cache."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro.data import BENCHMARKS, benchmark_names, build_benchmark
+from repro.serve.transport.frames import decode_clips, encode_clips
 
 
 @pytest.fixture
@@ -100,6 +103,19 @@ class TestCache:
         ]
         assert cached.meta["geometry_available"] is False
         assert fresh.meta["geometry_available"] is True
+
+    def test_cached_clips_without_geometry_encode_and_hash(self, cache_dir):
+        build_benchmark("iccad16-2", scale=0.05, seed=2)
+        cached = build_benchmark("iccad16-2", scale=0.05, seed=2).clips
+        assert all(clip.boxes.shape == (0, 4) for clip in cached)
+        decoded, _, _ = decode_clips(encode_clips(cached, None, False))
+        assert [c.content_key() for c in decoded] == [
+            c.content_key() for c in cached
+        ]
+        # an empty geometry hashes as the empty rect list always did
+        empty = hashlib.sha256(repr([]).encode()).hexdigest()[:16]
+        assert {c.geometry_hash() for c in cached} == {empty}
+        assert {c.core_geometry_hash() for c in cached} == {empty}
 
     def test_scale_changes_cache_key(self, cache_dir):
         build_benchmark("iccad16-1", scale=0.5, seed=0)

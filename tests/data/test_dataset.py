@@ -10,8 +10,7 @@ from repro.layout import Clip, Rect
 def toy_dataset(n=10, hotspots=(1, 4)):
     window = Rect(0, 0, 100, 100)
     clips = [
-        Clip(window.shifted(i * 100, 0), window.shifted(i * 100, 0).expanded(-20),
-             rects=[], index=i)
+        Clip(window.shifted(i * 100, 0), window.shifted(i * 100, 0).expanded(-20), index=i)
         for i in range(n)
     ]
     labels = np.zeros(n, dtype=np.int64)

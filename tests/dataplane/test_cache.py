@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from repro.dataplane import FeatureCache, feature_key
-from repro.layout import Clip, Rect
+from repro.layout import Clip, Rect, boxes_of
 
 
 def make_clip(rects, size=1200, margin=300, idx=0):
     window = Rect(0, 0, size, size)
-    return Clip(window, window.expanded(-margin), rects=rects, index=idx)
+    return Clip(window, window.expanded(-margin), boxes=boxes_of(rects), index=idx)
 
 
 class TestFeatureKey:

@@ -15,12 +15,12 @@ from repro.dataplane import (
 )
 from repro.engine import EventBus, EventLog
 from repro.features import FeatureExtractor
-from repro.layout import Clip, Rect
+from repro.layout import Clip, Rect, boxes_of
 
 
 def make_clip(rects, size=1200, margin=300, idx=0):
     window = Rect(0, 0, size, size)
-    return Clip(window, window.expanded(-margin), rects=rects, index=idx)
+    return Clip(window, window.expanded(-margin), boxes=boxes_of(rects), index=idx)
 
 
 @pytest.fixture(scope="module")
@@ -94,7 +94,7 @@ class TestCaching:
             FeatureExtractor(grid=96), DataPlaneConfig(chunk_size=4)
         )
         doubled = clips + [
-            make_clip([Rect(r.x0, r.y0, r.x1, r.y1) for r in c.rects],
+            make_clip([Rect(*box) for box in c.boxes.tolist()],
                       idx=100 + i)
             for i, c in enumerate(clips)
         ]

@@ -6,6 +6,8 @@ import threading
 import numpy as np
 import pytest
 
+from repro.analysis.concurrency import lock_order_edges, reset_lock_order
+from repro.analysis.modes import set_check_mode
 from repro.data.synth import DUV_RULES, generate_layout
 from repro.dataplane import (
     BatchFeatureExtractor,
@@ -190,7 +192,7 @@ class TestStreamScanner:
         from repro.layout import extract_clip_grid
 
         clips = extract_clip_grid(chip, CLIP, MARGIN, drop_empty=False)
-        clips = [c for c in clips if c.rects]
+        clips = [c for c in clips if len(c.boxes)]
         fx = FeatureExtractor(grid=96)
         tensors = np.stack([fx.encode(c) for c in clips])
         scores = density_score(tensors)
@@ -400,7 +402,7 @@ class TestStreamScanner:
             grid, plane, density_score, config
         ).scan(chip)
         assert resumed.replayed_tiles == len(survived)
-        assert resumed.rescored_tiles == grid.n_tiles - len(survived)
+        assert resumed.rescored_tiles == len(grid.tiles()) - len(survived)
         clean = make_scanner(chip).scan(chip)
         assert resumed.hotspots == clean.hotspots
 
@@ -472,6 +474,32 @@ class TestStreamScanner:
             ).scan(chip)
             runs.append((labeler.query_count, queried, report.hotspots))
         assert runs[1] == runs[0]
+
+    def test_strict_scans_keep_only_live_lock_order_edges(
+        self, chip, monkeypatch
+    ):
+        """Each scan's encode lock is collected when the scan returns,
+        and its lock-order edges go with it: the twentieth strict scan
+        sees the edges the first one saw, not twenty copies of them."""
+        monkeypatch.setenv("REPRO_CHECK", "strict")
+        previous = set_check_mode("strict")
+        seen = []
+
+        def score(tensors):
+            seen.append(lock_order_edges())
+            return density_score(tensors)
+
+        per_scan = []
+        try:
+            reset_lock_order()
+            for _ in range(20):
+                make_scanner(chip, score_fn=score).scan(chip)
+                per_scan.append(seen[-1])
+        finally:
+            set_check_mode(previous)
+        assert ("scan-encode", "feature-cache") in per_scan[0]
+        assert all(edges == per_scan[0] for edges in per_scan)
+        assert lock_order_edges() <= per_scan[0]
 
 
 class TestStreamConfig:

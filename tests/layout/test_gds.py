@@ -73,7 +73,7 @@ class TestRoundTrip:
         data[-8:-8] = extra
         path.write_bytes(bytes(data))
         loaded = load_gds(path)
-        from repro.layout import total_area
+        from tests.layout.oracles import total_area
 
         # union area: the 10x10 rect lies inside the 675 nm^2 L-shape
         assert total_area(loaded.rects) == 30 * 30 - 15 * 15

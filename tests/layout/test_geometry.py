@@ -1,10 +1,12 @@
 """Tests for geometry primitives."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.layout.geometry import Rect, bounding_box, merge_touching, total_area
+from repro.layout.geometry import Rect, bounding_box, boxes_of
+from tests.layout.oracles import total_area
 
 coords = st.integers(0, 1000)
 
@@ -38,30 +40,22 @@ class TestRect:
         a = Rect(0, 0, 10, 10)
         b = Rect(10, 0, 20, 10)
         assert not a.intersects(b)
-        assert a.intersection(b) is None
-
-    def test_intersection_values(self):
-        a = Rect(0, 0, 10, 10)
-        b = Rect(5, 5, 15, 15)
-        assert a.intersection(b) == Rect(5, 5, 10, 10)
-
-    def test_contains_point_half_open(self):
-        r = Rect(0, 0, 10, 10)
-        assert r.contains_point(0, 0)
-        assert not r.contains_point(10, 10)
-        assert r.contains_point(9.999, 5)
-
-    def test_contains_rect(self):
-        outer = Rect(0, 0, 10, 10)
-        assert outer.contains_rect(Rect(2, 2, 8, 8))
-        assert outer.contains_rect(outer)
-        assert not outer.contains_rect(Rect(2, 2, 11, 8))
 
     def test_shifted_and_expanded(self):
         r = Rect(0, 0, 10, 10)
         assert r.shifted(5, -5) == Rect(5, -5, 15, 5)
         assert r.expanded(2) == Rect(-2, -2, 12, 12)
         assert r.expanded(-3) == Rect(3, 3, 7, 7)
+
+
+class TestBoxesOf:
+    def test_rows_in_given_order(self):
+        boxes = boxes_of([Rect(5, 6, 7, 8), Rect(1, 2, 3, 4)])
+        assert boxes.dtype == np.int64
+        assert boxes.tolist() == [[5, 6, 7, 8], [1, 2, 3, 4]]
+
+    def test_empty_has_four_columns(self):
+        assert boxes_of([]).shape == (0, 4)
 
 
 class TestBoundingBox:
@@ -108,21 +102,3 @@ def test_total_area_bounds(rect_list):
     assert max(r.area for r in rect_list) <= union <= sum(r.area for r in rect_list)
     box = bounding_box(rect_list)
     assert union <= box.area
-
-
-class TestMergeTouching:
-    def test_merges_abutting_same_row(self):
-        merged = merge_touching([Rect(0, 0, 5, 10), Rect(5, 0, 9, 10)])
-        assert merged == [Rect(0, 0, 9, 10)]
-
-    def test_keeps_disjoint(self):
-        rect_list = [Rect(0, 0, 5, 10), Rect(6, 0, 9, 10)]
-        assert merge_touching(rect_list) == rect_list
-
-    def test_different_rows_untouched(self):
-        rect_list = [Rect(0, 0, 5, 10), Rect(5, 1, 9, 11)]
-        assert sorted(merge_touching(rect_list)) == sorted(rect_list)
-
-    def test_merge_preserves_area(self):
-        rect_list = [Rect(0, 0, 5, 10), Rect(3, 0, 9, 10), Rect(20, 0, 25, 10)]
-        assert total_area(merge_touching(rect_list)) == total_area(rect_list)

@@ -7,6 +7,7 @@ from repro.layout import (
     Clip,
     Layout,
     Rect,
+    boxes_of,
     extract_clip,
     extract_clip_grid,
     load_layout,
@@ -14,6 +15,18 @@ from repro.layout import (
     rasterize_stack,
     save_layout,
 )
+from tests.layout.oracles import total_area
+
+
+def _clipped(layout, window):
+    """One window's cut as ``Rect`` objects, in the order it returns."""
+    _, boxes = layout.cut(window)
+    return [Rect(*box) for box in boxes.tolist()]
+
+
+def _density(layout, window):
+    """Fraction of ``window`` the cut geometry covers (overlap-safe)."""
+    return total_area(_clipped(layout, window)) / window.area
 
 
 @pytest.fixture
@@ -50,14 +63,13 @@ class TestLayoutQuery:
             expected = sorted(r for r in rects if r.intersects(window))
             assert sorted(layout.query(window)) == expected
 
-    def test_query_clipped_rebases(self, simple_layout):
-        clipped = simple_layout.query_clipped(Rect(100, 100, 400, 400))
-        box = Rect(0, 0, 300, 300)
-        assert all(box.contains_rect(r) for r in clipped)
+    def test_cut_rebases(self, simple_layout):
+        clipped = _clipped(simple_layout, Rect(100, 100, 400, 400))
+        assert clipped == [Rect(0, 0, 200, 100), Rect(50, 50, 150, 300)]
 
     def test_density(self):
         layout = Layout([Rect(0, 0, 50, 100)], die=Rect(0, 0, 100, 100))
-        assert layout.density(Rect(0, 0, 100, 100)) == pytest.approx(0.5)
+        assert _density(layout, Rect(0, 0, 100, 100)) == pytest.approx(0.5)
 
     def test_empty_layout_requires_die(self):
         with pytest.raises(ValueError):
@@ -81,7 +93,7 @@ class TestBucketBoundaries:
         )
         window = Rect(50, 50, 150, 150)
         assert layout.query(window) == [Rect(10, 10, 90, 90)]
-        clipped = layout.query_clipped(window)
+        clipped = _clipped(layout, window)
         assert clipped == [Rect(0, 0, 40, 40)]
 
     def test_rect_exactly_on_bucket_boundary(self):
@@ -91,9 +103,9 @@ class TestBucketBoundaries:
             [Rect(0, 0, 100, 100), Rect(100, 0, 200, 100)],
             Rect(0, 0, 400, 400),
         )
-        left = layout.query_clipped(Rect(0, 0, 100, 100))
+        left = _clipped(layout, Rect(0, 0, 100, 100))
         assert left == [Rect(0, 0, 100, 100)]
-        right = layout.query_clipped(Rect(100, 0, 200, 100))
+        right = _clipped(layout, Rect(100, 0, 200, 100))
         assert right == [Rect(0, 0, 100, 100)]
 
     def test_touching_window_edge_is_not_overlap(self):
@@ -101,9 +113,9 @@ class TestBucketBoundaries:
         layout = self.bucketed_layout(
             [Rect(100, 100, 200, 200)], Rect(0, 0, 400, 400)
         )
-        assert layout.query_clipped(Rect(0, 0, 100, 100)) == []
-        assert layout.query_clipped(Rect(200, 200, 300, 300)) == []
-        assert layout.density(Rect(0, 0, 100, 100)) == 0.0
+        assert _clipped(layout, Rect(0, 0, 100, 100)) == []
+        assert _clipped(layout, Rect(200, 200, 300, 300)) == []
+        assert _density(layout, Rect(0, 0, 100, 100)) == 0.0
 
     def test_straddling_matches_brute_force(self):
         rng = np.random.default_rng(3)
@@ -119,33 +131,35 @@ class TestBucketBoundaries:
         # bucket pitch, including one-past-boundary positions
         for x0 in (0, 127, 128, 129, 255, 256, 1000):
             window = Rect(x0, x0, x0 + 300, x0 + 300)
-            expected = sorted(
-                r.intersection(window).shifted(-window.x0, -window.y0)
+            expected = [
+                Rect(max(r.x0, window.x0), max(r.y0, window.y0),
+                     min(r.x1, window.x1), min(r.y1, window.y1),
+                     ).shifted(-window.x0, -window.y0)
                 for r in rects if r.intersects(window)
-            )
-            assert sorted(layout.query_clipped(window)) == expected
+            ]
+            assert _clipped(layout, window) == expected
 
     def test_window_outside_die_is_empty(self):
         layout = self.bucketed_layout(
             [Rect(10, 10, 90, 90)], Rect(0, 0, 400, 400)
         )
-        assert layout.query_clipped(Rect(1000, 1000, 1200, 1200)) == []
-        assert layout.density(Rect(1000, 1000, 1200, 1200)) == 0.0
+        assert _clipped(layout, Rect(1000, 1000, 1200, 1200)) == []
+        assert _density(layout, Rect(1000, 1000, 1200, 1200)) == 0.0
 
     def test_density_of_straddling_window(self):
         # one rect half inside the window, crossing a bucket edge
         layout = self.bucketed_layout(
             [Rect(50, 0, 150, 100)], Rect(0, 0, 400, 400)
         )
-        assert layout.density(Rect(0, 0, 100, 100)) == pytest.approx(0.5)
-        assert layout.density(Rect(100, 0, 200, 100)) == pytest.approx(0.5)
+        assert _density(layout, Rect(0, 0, 100, 100)) == pytest.approx(0.5)
+        assert _density(layout, Rect(100, 0, 200, 100)) == pytest.approx(0.5)
 
     def test_density_overlap_counted_once(self):
         layout = self.bucketed_layout(
             [Rect(0, 0, 100, 100), Rect(0, 0, 100, 100)],
             Rect(0, 0, 200, 200),
         )
-        assert layout.density(Rect(0, 0, 200, 200)) == pytest.approx(0.25)
+        assert _density(layout, Rect(0, 0, 200, 200)) == pytest.approx(0.25)
 
     def test_zero_area_window_rejected(self):
         # degenerate windows cannot be constructed at all (half-open
@@ -178,7 +192,7 @@ class TestClipExtraction:
 
     def test_grid_drop_empty(self, simple_layout):
         kept = extract_clip_grid(simple_layout, clip_size=500, core_margin=100)
-        assert all(c.rects for c in kept)
+        assert all(len(c.boxes) for c in kept)
 
     def test_clip_indices_sequential(self, simple_layout):
         clips = extract_clip_grid(simple_layout, clip_size=500, core_margin=100)
@@ -188,76 +202,79 @@ class TestClipExtraction:
 class TestGeometryHash:
     def test_identical_patterns_hash_equal(self):
         rects = [Rect(10, 10, 50, 90), Rect(60, 10, 90, 90)]
-        a = Clip(Rect(0, 0, 100, 100), Rect(20, 20, 80, 80), rects=list(rects))
+        a = Clip(Rect(0, 0, 100, 100), Rect(20, 20, 80, 80), boxes=boxes_of(rects))
         b = Clip(Rect(500, 500, 600, 600), Rect(520, 520, 580, 580),
-                 rects=list(rects))
+                 boxes=boxes_of(rects))
         assert a.geometry_hash() == b.geometry_hash()
 
     def test_different_patterns_hash_differently(self):
         a = Clip(Rect(0, 0, 100, 100), Rect(20, 20, 80, 80),
-                 rects=[Rect(10, 10, 50, 90)])
+                 boxes=boxes_of([Rect(10, 10, 50, 90)]))
         b = Clip(Rect(0, 0, 100, 100), Rect(20, 20, 80, 80),
-                 rects=[Rect(10, 10, 51, 90)])
+                 boxes=boxes_of([Rect(10, 10, 51, 90)]))
         assert a.geometry_hash() != b.geometry_hash()
 
     def test_quantum_absorbs_jitter(self):
         a = Clip(Rect(0, 0, 100, 100), Rect(20, 20, 80, 80),
-                 rects=[Rect(10, 10, 50, 90)])
+                 boxes=boxes_of([Rect(10, 10, 50, 90)]))
         b = Clip(Rect(0, 0, 100, 100), Rect(20, 20, 80, 80),
-                 rects=[Rect(11, 10, 51, 90)])
+                 boxes=boxes_of([Rect(11, 10, 51, 90)]))
         assert a.geometry_hash(quantum=8) == b.geometry_hash(quantum=8)
         assert a.geometry_hash(quantum=1) != b.geometry_hash(quantum=1)
 
 
 class TestRasterize:
     def test_full_cover(self):
-        image = rasterize([Rect(0, 0, 100, 100)], (100, 100), 10)
+        image = rasterize(boxes_of([Rect(0, 0, 100, 100)]), (100, 100), 10)
         np.testing.assert_allclose(image, 1.0)
 
     def test_half_cover_exact(self):
-        image = rasterize([Rect(0, 0, 50, 100)], (100, 100), 10)
+        image = rasterize(boxes_of([Rect(0, 0, 50, 100)]), (100, 100), 10)
         np.testing.assert_allclose(image[:, :5], 1.0)
         np.testing.assert_allclose(image[:, 5:], 0.0)
 
     def test_subpixel_coverage_fraction(self):
         # one rect covering a quarter of the single pixel
-        image = rasterize([Rect(0, 0, 5, 5)], (10, 10), 1)
+        image = rasterize(boxes_of([Rect(0, 0, 5, 5)]), (10, 10), 1)
         np.testing.assert_allclose(image, 0.25)
 
     def test_total_flux_matches_area(self):
         """Antialiased raster conserves area for non-overlapping rects."""
         rects = [Rect(3, 3, 47, 17), Rect(60, 50, 95, 95)]
-        image = rasterize(rects, (100, 100), 20)
+        image = rasterize(boxes_of(rects), (100, 100), 20)
         pixel_area = (100 / 20) ** 2
         assert image.sum() * pixel_area == pytest.approx(
             sum(r.area for r in rects)
         )
 
     def test_binary_mode(self):
-        image = rasterize([Rect(0, 0, 50, 100)], (100, 100), 10, antialias=False)
+        image = rasterize(boxes_of([Rect(0, 0, 50, 100)]), (100, 100), 10, antialias=False)
         assert set(np.unique(image)) <= {0.0, 1.0}
 
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
-            rasterize([], (0, 100), 10)
+            rasterize(boxes_of([]), (0, 100), 10)
         with pytest.raises(ValueError):
-            rasterize([], (100, 100), 0)
+            rasterize(boxes_of([]), (100, 100), 0)
 
     def test_stack_rejects_bad_args(self):
-        with pytest.raises(ValueError, match="1 rect lists but 2"):
-            rasterize_stack([[]], [(100, 100), (100, 100)], 10)
+        none, one = boxes_of([]), boxes_of([Rect(0, 0, 5, 5)])
+        with pytest.raises(ValueError, match="1 box counts but 2"):
+            rasterize_stack(none, [0], [(100, 100), (100, 100)], 10)
+        with pytest.raises(ValueError, match="counts sum to 0 for 1 boxes"):
+            rasterize_stack(one, [0], [(100, 100)], 10)
         with pytest.raises(ValueError, match="window must be positive"):
-            rasterize_stack([[], []], [(100, 100), (100, 0)], 10)
+            rasterize_stack(none, [0, 0], [(100, 100), (100, 0)], 10)
         with pytest.raises(ValueError, match="grid must be positive"):
-            rasterize_stack([], [], 0)
+            rasterize_stack(none, [], [], 0)
 
     def test_empty_stack(self):
-        stack = rasterize_stack([], [], 12)
+        stack = rasterize_stack(boxes_of([]), [], [], 12)
         assert stack.shape == (0, 12, 12) and stack.dtype == np.float64
 
     def test_orientation_row_is_y(self):
         """A rect at low y paints low rows."""
-        image = rasterize([Rect(0, 0, 100, 10)], (100, 100), 10)
+        image = rasterize(boxes_of([Rect(0, 0, 100, 10)]), (100, 100), 10)
         assert image[0].sum() > 0
         assert image[-1].sum() == 0
 

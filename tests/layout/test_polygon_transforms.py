@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.layout import Rect, RectilinearPolygon, total_area
+from repro.layout import Rect, RectilinearPolygon
+from tests.layout.oracles import total_area
 
 
 class TestRectilinearPolygon:

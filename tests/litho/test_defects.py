@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.layout import Clip, Rect
+from repro.layout import Clip, Rect, boxes_of
 from repro.litho import (
     LithoLabeler,
     LithoSimulator,
@@ -17,7 +17,7 @@ from repro.litho import (
 
 def make_clip(rects, size=1200, margin=300, idx=0):
     window = Rect(0, 0, size, size)
-    return Clip(window, window.expanded(-margin), rects=rects, index=idx)
+    return Clip(window, window.expanded(-margin), boxes=boxes_of(rects), index=idx)
 
 
 # each would silently break the verdict: a negative tolerance flags the
@@ -227,7 +227,7 @@ class TestLithoSimulator:
         """A 30 nm line is hopeless in DUV but fine in EUV."""
         window = Rect(0, 0, 640, 640)
         clip = Clip(window, window.expanded(-160),
-                    rects=[Rect(50, 305, 590, 335)], index=0)
+                    boxes=boxes_of([Rect(50, 305, 590, 335)]), index=0)
         assert not LithoSimulator.for_tech(7, grid=96).simulate(clip).hotspot
         assert LithoSimulator.for_tech(28, grid=96).simulate(clip).hotspot
 

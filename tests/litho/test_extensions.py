@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.layout import Clip, Rect
+from repro.layout import Clip, Rect, boxes_of
 from repro.litho import (
     DRCRules,
     LithoSimulator,
@@ -16,7 +16,7 @@ from repro.litho import (
 
 def make_clip(rects, size=1200, margin=300, idx=0):
     window = Rect(0, 0, size, size)
-    return Clip(window, window.expanded(-margin), rects=rects, index=idx)
+    return Clip(window, window.expanded(-margin), boxes=boxes_of(rects), index=idx)
 
 
 class TestProcessWindow:

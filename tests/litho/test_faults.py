@@ -6,7 +6,7 @@ import pytest
 
 from repro.engine.events import EventBus, EventLog
 from repro.engine.faults import FaultInjector, FaultPlan, RetryPolicy
-from repro.layout import Clip, Rect
+from repro.layout import Clip, Rect, boxes_of
 from repro.litho import (
     FlakySimulator,
     LithoLabeler,
@@ -21,7 +21,7 @@ def make_clips(n, size=1200, margin=300):
         Clip(
             window,
             window.expanded(-margin),
-            rects=[Rect(100, 400 + 10 * i, 1100, 600 + 10 * i)],
+            boxes=boxes_of([Rect(100, 400 + 10 * i, 1100, 600 + 10 * i)]),
             index=i,
         )
         for i in range(n)

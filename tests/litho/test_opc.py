@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.layout import Rect, rasterize
+from repro.layout import Rect, boxes_of, rasterize
 from repro.litho import (
     OPCConfig,
     ThresholdResist,
@@ -20,7 +20,7 @@ def neck_target(grid=96, size=1200):
         Rect(650, 540, 1100, 660),
         Rect(550, 580, 650, 620),
     ]
-    return rasterize(rects, (size, size), grid), size / grid
+    return rasterize(boxes_of(rects), (size, size), grid), size / grid
 
 
 class TestPrintError:
@@ -76,7 +76,7 @@ class TestOptimizeMask:
         """A pattern that already prints perfectly is left (near)
         unchanged in print error."""
         rects = [Rect(100, 500, 1100, 700)]  # fat 200 nm line
-        target = rasterize(rects, (1200, 1200), 96)
+        target = rasterize(boxes_of(rects), (1200, 1200), 96)
         result = optimize_mask(
             target, duv_model(), ThresholdResist(), 12.5,
             OPCConfig(iterations=5),

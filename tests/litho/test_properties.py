@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.layout import Rect, rasterize
+from repro.layout import Rect, boxes_of, rasterize
 from repro.litho import ThresholdResist, duv_model, euv_model
 
 
@@ -107,6 +107,6 @@ def test_raster_flux_conservation(width, seed):
     x0 = int(rng.integers(0, 1000 - width))
     y0 = int(rng.integers(0, 1000 - width))
     rect = Rect(x0, y0, x0 + width, y0 + width)
-    image = rasterize([rect], (1000, 1000), 50)
+    image = rasterize(boxes_of([rect]), (1000, 1000), 50)
     pixel_area = (1000 / 50) ** 2
     assert image.sum() * pixel_area == pytest.approx(rect.area, rel=1e-9)

@@ -57,15 +57,15 @@ class TestDiffusion:
 
     def test_simulator_with_diffused_resist(self):
         """A diffused resist stack still labels clips sensibly."""
-        from repro.layout import Clip, Rect
+        from repro.layout import Clip, Rect, boxes_of
         from repro.litho import LithoSimulator, duv_model
 
         resist = ThresholdResist(threshold=0.35, diffusion_px=0.8)
         sim = LithoSimulator(optical=duv_model(), resist=resist, grid=96)
         window = Rect(0, 0, 1200, 1200)
         wide = Clip(window, window.expanded(-300),
-                    rects=[Rect(100, 500, 1100, 700)], index=0)
+                    boxes=boxes_of([Rect(100, 500, 1100, 700)]), index=0)
         skinny = Clip(window, window.expanded(-300),
-                      rects=[Rect(100, 585, 1100, 615)], index=1)
+                      boxes=boxes_of([Rect(100, 585, 1100, 615)]), index=1)
         assert not sim.simulate(wide).hotspot
         assert sim.simulate(skinny).hotspot

@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 from scipy import ndimage
 
 from repro.data.synth import DUV_RULES, EUV_RULES, generate_layout
-from repro.layout import Clip, Rect, rasterize, rasterize_stack
+from repro.layout import Clip, Rect, boxes_of, rasterize, rasterize_stack
 from repro.layout.clip import extract_clip_grid
 from repro.litho import (
     Defect,
@@ -64,6 +64,18 @@ def _ref_rasterize(rects, window_size, grid):
         frac_y = np.clip(y_hi - y_lo, 0.0, px_h) / px_h
         image[np.ix_(rows, cols)] += np.outer(frac_y, frac_x)
     return np.clip(image, 0.0, 1.0)
+
+
+def _rects(clip):
+    """A clip's boxes as the ``Rect`` list the reference paints."""
+    return [Rect(*box) for box in clip.boxes.tolist()]
+
+
+def _stacked(rect_lists):
+    """``(boxes, counts)`` of rect lists, as ``rasterize_stack`` takes
+    them."""
+    counts = [len(rects) for rects in rect_lists]
+    return boxes_of([r for rects in rect_lists for r in rects]), counts
 
 
 def _ref_aerial_image(optical, mask, pixel_nm, defocus_nm, dose):
@@ -173,7 +185,7 @@ def _ref_printed(sim, clip):
     """``(target, core, [(corner, printed), ...])`` of the reference."""
     width_nm, _ = clip.size
     pixel_nm = width_nm / sim.grid
-    mask = _ref_rasterize(clip.rects, clip.size, sim.grid)
+    mask = _ref_rasterize(_rects(clip), clip.size, sim.grid)
     printed = [
         (
             corner,
@@ -224,7 +236,7 @@ def _distinct_clips(rules, seed, target_ratio):
     )
     distinct = {clip.content_key(): clip for clip in clips}
     window = Rect(0, 0, rules.clip_size, rules.clip_size)
-    empty = Clip(window, window.expanded(-rules.core_margin), rects=[])
+    empty = Clip(window, window.expanded(-rules.core_margin))
     return list(distinct.values()) + [empty]
 
 
@@ -271,7 +283,7 @@ def runs(request, chip):
 class TestAgainstReference:
     def test_sample_covers_the_cases(self, runs):
         _, clips, _, expected = runs
-        assert not clips[-1].rects  # the empty clip
+        assert not len(clips[-1].boxes)  # the empty clip
         assert any(len(r.corner_names) >= 2 for r in expected)
         assert any(not r.hotspot for r in expected)
 
@@ -332,9 +344,9 @@ GRIDS = [96, 64, 37, 97]
 def test_raster_equals_reference(chip, grid):
     _, clips = chip
     size = clips[0].size
-    for rects in [clip.rects for clip in clips] + [_stray_rects(*size)]:
+    for rects in [_rects(clip) for clip in clips] + [_stray_rects(*size)]:
         assert (
-            rasterize(rects, size, grid).tobytes()
+            rasterize(boxes_of(rects), size, grid).tobytes()
             == _ref_rasterize(rects, size, grid).tobytes()
         )
 
@@ -349,7 +361,7 @@ def mixed_stack():
         EUV_RULES, 5, 0.3
     )
     assert {clip.size for clip in clips} == {(1200, 1200), (640, 640)}
-    rect_lists = [clip.rects for clip in clips] + [
+    rect_lists = [_rects(clip) for clip in clips] + [
         JOG, _stray_rects(1000, 700) + JOG, [],
     ]
     sizes = [clip.size for clip in clips] + [
@@ -361,7 +373,7 @@ def mixed_stack():
 @pytest.mark.parametrize("grid", GRIDS)
 def test_raster_stack_equals_reference(mixed_stack, grid):
     rect_lists, sizes = mixed_stack
-    stack = rasterize_stack(rect_lists, sizes, grid)
+    stack = rasterize_stack(*_stacked(rect_lists), sizes, grid)
     assert stack.shape == (len(rect_lists), grid, grid)
     for image, rects, size in zip(stack, rect_lists, sizes):
         assert image.tobytes() == _ref_rasterize(rects, size, grid).tobytes()
@@ -370,9 +382,9 @@ def test_raster_stack_equals_reference(mixed_stack, grid):
 
 def test_rasterize_equals_its_stack_slice(mixed_stack):
     rect_lists, sizes = mixed_stack
-    stack = rasterize_stack(rect_lists, sizes, 96)
+    stack = rasterize_stack(*_stacked(rect_lists), sizes, 96)
     for image, rects, size in zip(stack, rect_lists, sizes):
-        assert rasterize(rects, size, 96).tobytes() == image.tobytes()
+        assert rasterize(boxes_of(rects), size, 96).tobytes() == image.tobytes()
 
 
 @st.composite
@@ -398,7 +410,9 @@ def _clip_geometry(draw):
 @given(st.lists(_clip_geometry(), max_size=20), st.integers(1, 128))
 def test_random_rect_stacks_equal_reference(geometry, grid):
     stack = rasterize_stack(
-        [rects for rects, _ in geometry], [size for _, size in geometry], grid
+        *_stacked([rects for rects, _ in geometry]),
+        [size for _, size in geometry],
+        grid,
     )
     for image, (rects, size) in zip(stack, geometry):
         assert image.tobytes() == _ref_rasterize(rects, size, grid).tobytes()

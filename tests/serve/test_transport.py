@@ -10,6 +10,7 @@ interleaving harness).  The whole module runs under
 lock-held.
 """
 
+import io
 import socket
 import struct
 import threading
@@ -24,6 +25,7 @@ from repro.analysis.modes import set_check_mode
 from repro.engine.events import EventBus, EventLog
 from repro.engine.faults import RetryPolicy
 from repro.engine.guard import GuardConfig, RunSupervisor
+from repro.layout import Clip, Rect
 from repro.serve import DetectionServer, ServeConfig
 from repro.serve.transport import (
     CircuitBreaker,
@@ -155,12 +157,39 @@ class TestFrames:
         for original, rebuilt in zip(clips, decoded):
             assert rebuilt.window == original.window
             assert rebuilt.core == original.core
-            assert rebuilt.rects == original.rects
+            assert rebuilt.boxes.tolist() == original.boxes.tolist()
             assert rebuilt.layout_name == original.layout_name
             assert rebuilt.index == original.index
             # the cache key must survive the wire: a remote clip hits
             # the same feature-cache entry as a local one
             assert rebuilt.content_key() == original.content_key()
+
+    @pytest.mark.parametrize("tamper", [
+        pytest.param(lambda d: d["rects"].__setitem__(0, [5, 5, 5, 9]),
+                     id="degenerate-box"),
+        pytest.param(lambda d: d.__setitem__("counts", np.array([-1, 4])),
+                     id="negative-count"),
+        pytest.param(lambda d: d.__setitem__("counts", np.array([1, 1])),
+                     id="counts-miss-boxes"),
+        pytest.param(lambda d: d.__setitem__("counts", np.array([1, 2, 0])),
+                     id="count-per-clip"),
+        pytest.param(lambda d: d.__setitem__("rects", d["rects"] * 1.0),
+                     id="float-boxes"),
+    ])
+    def test_malformed_clip_geometry_is_frame_corrupt(self, tamper):
+        window = Rect(0, 0, 100, 100)
+        clips = [
+            Clip(window, window.expanded(-20), [[1, 2, 3, 4]], "m", 0),
+            Clip(window, window.expanded(-20),
+                 [[0, 0, 10, 10], [20, 20, 50, 60]], "m", 1),
+        ]
+        with np.load(io.BytesIO(frames.encode_clips(clips, "v1", False))) as z:
+            data = dict(z)
+        tamper(data)
+        buffer = io.BytesIO()
+        np.savez(buffer, **data)
+        with pytest.raises(FrameCorrupt, match="malformed request geometry"):
+            frames.decode_clips(buffer.getvalue())
 
     def test_error_codec_roundtrip(self):
         payload = frames.encode_error("admission", "queue full", True)

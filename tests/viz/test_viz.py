@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.layout import Clip, Layout, Rect
+from repro.layout import Clip, Layout, Rect, boxes_of
 from repro.viz import (
     render_clip_svg,
     render_detection_svg,
@@ -33,7 +33,7 @@ class TestSvg:
     def test_clip_svg_shows_core(self, tmp_path):
         window = Rect(0, 0, 100, 100)
         clip = Clip(window, window.expanded(-20),
-                    rects=[Rect(10, 40, 90, 60)])
+                    boxes=boxes_of([Rect(10, 40, 90, 60)]))
         text = render_clip_svg(clip, tmp_path / "clip.svg")
         assert "stroke-dasharray" in text  # the core outline style
         assert text.count("<rect") == 2
@@ -42,7 +42,7 @@ class TestSvg:
         window = Rect(0, 0, 100, 100)
         clips = [
             Clip(window.shifted(100 * i, 0),
-                 window.shifted(100 * i, 0).expanded(-20), rects=[], index=i)
+                 window.shifted(100 * i, 0).expanded(-20), index=i)
             for i in range(4)
         ]
         from repro.data import ClipDataset
